@@ -75,6 +75,7 @@ from .susy import (
 from .errors import (
     ConvergenceError,
     ConventionError,
+    GridError,
     InvalidLabelError,
     NormalizationError,
     PairingError,
@@ -100,7 +101,7 @@ __all__ = [
     "SusyVerification", "alternate_a_mp", "build_A", "build_supercharges",
     "build_susy_block", "kernel_annihilation_report", "sector_pair",
     "spectral_pairing", "spectral_pairing_at", "verify_A_squared",
-    "ConvergenceError", "ConventionError", "InvalidLabelError",
+    "ConvergenceError", "ConventionError", "GridError", "InvalidLabelError",
     "NormalizationError", "PairingError", "SpuriousSpectrumError",
     "SubcriticalError", "SusyhError",
     "__version__",

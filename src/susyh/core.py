@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SubcriticalError
+from .errors import GridError, SubcriticalError
 
 UNIFORM = "uniform"
 LOG_UNIFORM = "log_uniform"
@@ -36,6 +36,10 @@ class PhysParams:
     def __post_init__(self):
         if not isinstance(self.D, int) or self.D < 2:
             raise ValueError(f"D must be an integer >= 2, got {self.D!r}")
+        for name in ("z_alpha", "m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         lo = 0.0 if self.allow_free else None
@@ -170,7 +174,9 @@ def default_grid(
 
     The wall factor 10^(-max(6, 3/s)) keeps the truncated r^(2s) weight below
     ~1e-6 even for small s, while keeping the log-grid span (and hence the
-    step) as small as accuracy allows.
+    step) as small as accuracy allows.  Raises GridError when the wall
+    falls below the smallest normal double, which the default reaches as
+    s -> 0 (near-critical z_alpha).
     """
     if params.z_alpha == 0:
         raise ValueError("default_grid needs z_alpha > 0; build an explicit grid")
@@ -180,4 +186,12 @@ def default_grid(
             wall_factor = 10.0 ** (-max(6.0, 3.0 / sector.s))
         else:
             wall_factor = 1.0 / (n_points + 1) * r_max_factor
-    return make_grid(scheme, wall_factor * unit, r_max_factor * unit, n_points)
+    r_min = wall_factor * unit
+    if not r_min >= np.finfo(np.float64).tiny:
+        raise GridError(
+            f"inner wall r_min = wall_factor * u = {wall_factor!r} * {unit!r} "
+            f"is below the smallest normal double: the wall underflowed at "
+            f"s = {sector.s:.6g}; pass a larger wall_factor or use a smaller "
+            f"z_alpha"
+        )
+    return make_grid(scheme, r_min, r_max_factor * unit, n_points)

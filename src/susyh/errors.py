@@ -9,6 +9,10 @@ class SubcriticalError(SusyhError):
     """Coupling too strong for the requested sector: kappa^2 <= (Z alpha)^2."""
 
 
+class GridError(SusyhError):
+    """Requested grid cannot be represented in double precision."""
+
+
 class InvalidLabelError(SusyhError):
     """Quantum-number label violates its admissibility constraints."""
 

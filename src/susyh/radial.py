@@ -332,19 +332,52 @@ def _split_doublet(layout: str, grid: RadialGrid, column: np.ndarray) -> tuple:
     return f, g
 
 
-def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
-    # tol <= 0 would mean eps * ||T||, and ||T|| is dominated by the huge
-    # near-wall Coulomb rows, which quantizes close eigenvalues at ~1e-4 * m.
-    # The underflow-threshold setting makes bisection run to full relative
-    # precision of the eigenvalue itself.
-    tiny = 1e-12 * m
+# tol <= 0 would mean eps * ||T||, and ||T|| is dominated by the huge
+# near-wall Coulomb rows, which quantizes close eigenvalues at ~1e-4 * m.
+# The underflow-threshold setting makes bisection run to full relative
+# precision of the eigenvalue itself.
+_FULL_PRECISION = 2.0 * np.finfo(np.float64).tiny
+
+
+def _eigh(d: np.ndarray, e: np.ndarray, **kwargs):
+    """eigh_tridiagonal by bisection (stebz), with LAPACK failures typed."""
     try:
-        vals, vecs = eigh_tridiagonal(d, e, select="v",
-                                      select_range=(tiny, m - tiny),
-                                      tol=2.0 * np.finfo(np.float64).tiny)
+        return eigh_tridiagonal(d, e, lapack_driver="stebz", **kwargs)
     except LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return vals, vecs
+
+
+def _window_bounds(m: float) -> tuple:
+    """The bound window (tiny, m - tiny] as its (lower, upper) ends."""
+    tiny = 1e-12 * m
+    return tiny, m - tiny
+
+
+def _count_in(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
+    """Number of eigenvalues in (lo, hi].
+
+    A bisection tolerance as wide as the interval stops stebz after its
+    Sturm counts at the ends, so this costs a few O(n) passes.
+    """
+    if not lo < hi:
+        return 0
+    return _eigh(d, e, eigvals_only=True, select="v",
+                 select_range=(lo, hi), tol=hi - lo).size
+
+
+def _window(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
+    """(index of the first eigenvalue in the window, how many lie there)."""
+    # Gershgorin puts every eigenvalue at or above min(d) - 2 max|e|, which
+    # is below -m because the G rows carry -m; twice it is strictly below.
+    floor = 2.0 * (d.min() - 2.0 * np.abs(e).max())
+    lo, hi = _window_bounds(m)
+    return _count_in(d, e, floor, lo), _count_in(d, e, lo, hi)
+
+
+def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
+    """Every eigenpair in the window, ascending."""
+    return _eigh(d, e, select="v", select_range=_window_bounds(m),
+                 tol=_FULL_PRECISION)
 
 
 def _solve_banded(
@@ -358,50 +391,63 @@ def _solve_banded(
     stability_check: bool,
     stability_tol: float,
 ) -> list:
-    vals, vecs = _bound_window_solve(*bands, params.m)
-    if vals.size == 0:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    m = params.m
+    first, size = _window(*bands, m)
+    if size == 0:
         warnings.warn(f"no bound levels in (0, m); requested {count}",
                       TruncationWarning)
         return []
-    doublets = []
-    keep = []
-    for j, val in enumerate(vals):
-        f, g = _split_doublet(layout, grid, vecs[:, j])
-        alt = max(_alternation_fraction(f), _alternation_fraction(g))
-        if alt <= spurious_threshold:
-            keep.append(j)
-            doublets.append((f, g))
-    if not keep:
+    fine = (_sector_bands(params, sector, grid.refined(2), layout)
+            if stability_check else None)
+    lo, hi = _window_bounds(m)
+    # Levels are bisected by index, lowest first, only as far as needed to
+    # keep `count` of them (at least one, so that a window of nothing but
+    # rejects still raises); the result equals filtering the whole window
+    # and taking the first `count`.
+    want = max(count, 1)
+    kept = []
+    passed_filter = 0
+    done = 0
+    while len(kept) < want and done < size:
+        take = min(want - len(kept), size - done)
+        vals, vecs = _eigh(*bands, select="i", tol=_FULL_PRECISION,
+                           select_range=(first + done, first + done + take - 1))
+        done += take
+        for j, val in enumerate(vals):
+            f, g = _split_doublet(layout, grid, vecs[:, j])
+            if max(_alternation_fraction(f),
+                   _alternation_fraction(g)) > spurious_threshold:
+                continue
+            passed_filter += 1
+            # Stable: the doubled grid has a window level within
+            # stability_tol * m of this one.
+            if fine is None or _count_in(
+                    *fine, max(lo, val - stability_tol * m),
+                    min(hi, val + stability_tol * m)):
+                kept.append((val, f, g))
+    if not passed_filter:
         raise SpuriousSpectrumError(
-            f"all {vals.size} candidates rejected by the alternation filter"
+            f"all {size} candidates rejected by the alternation filter"
         )
-    vals = vals[keep]
-    if stability_check:
-        fine = grid.refined(2)
-        ref_vals, _ = _bound_window_solve(
-            *_sector_bands(params, sector, fine, layout), params.m)
-        stable = [j for j, v in enumerate(vals)
-                  if ref_vals.size and np.min(np.abs(ref_vals - v))
-                  <= stability_tol * params.m]
-        vals = vals[stable]
-        doublets = [doublets[j] for j in stable]
-        if vals.size == 0:
-            raise SpuriousSpectrumError(
-                "no candidate persisted under grid doubling"
-            )
-    if vals.size < count:
+    if not kept:
+        raise SpuriousSpectrumError(
+            "no candidate persisted under grid doubling"
+        )
+    if len(kept) < count:
         warnings.warn(
-            f"only {vals.size} of {count} requested levels resolvable on this grid",
+            f"only {len(kept)} of {count} requested levels resolvable on this grid",
             TruncationWarning,
         )
     w_f, w_g = _layout_weights(grid, layout)
     pairs = []
-    for val, (f, g) in zip(vals[:count], doublets[:count]):
+    for val, f, g in kept[:count]:
         wf2 = w_f @ f**2
         wg2 = w_g @ g**2
         norm = math.sqrt(wf2 + wg2)
         pairs.append(Eigenpair(
-            energy=float(val / params.m),
+            energy=float(val / m),
             doublet=(f / norm, g / norm),
             norm_weight_small=float(wg2 / (wf2 + wg2)),
         ))
@@ -417,12 +463,17 @@ def solve_spectrum(
 ) -> list:
     """Bound levels of a sector Hamiltonian, ascending, as Eigenpairs.
 
-    Eigenvalues are taken in the open window (0, m).  Each candidate must
-    pass a node-alternation filter on both components (a rapidly sign-
-    alternating vector is a discretization artifact, not a bound state) and,
-    when stability_check is set, must persist within stability_tol * m under
-    one grid doubling.  Raises SpuriousSpectrumError if filtering rejects
-    every candidate, ConvergenceError on solver failure; emits
+    Eigenvalues are taken in the open window (0, m).  Sturm counts size the
+    window, and only the lowest levels needed are bisected and inverted,
+    taken in order until count of them pass the checks or the window runs
+    out.  Each candidate must pass a node-alternation filter on both
+    components (a rapidly sign-alternating vector is a discretization
+    artifact, not a bound state) and, when stability_check is set, must
+    persist within stability_tol * m under one grid doubling: a Sturm count
+    on the doubled grid's bands must find a window eigenvalue within
+    stability_tol * m of it.  The result is the first count levels of the
+    whole window that pass.  Raises SpuriousSpectrumError if filtering
+    rejects every candidate, ConvergenceError on solver failure; emits
     TruncationWarning when fewer than count levels survive.
     """
     if op.kind != HAMILTONIAN:
@@ -445,6 +496,10 @@ def solve_bound_levels(
     """solve_spectrum without the dense matrix: bands are assembled straight
     from the grid, so memory stays O(n).  Identical results to solving the
     built operator, since the band entries are the same floats.
+
+    As there, only the requested levels are bisected, and the stability
+    check is a Sturm interval count on the doubled grid with the same
+    stability_tol criterion, so no doubled-grid eigenpairs are computed.
     """
     return _solve_banded(params, sector, grid, layout,
                          _sector_bands(params, sector, grid, layout),
@@ -494,8 +549,7 @@ def convergence_study(
         raise ValueError(f"grid family must have increasing n_points, got {ns}")
     per_level = []
     for grid in grids:
-        op = build_radial_hamiltonian(params, sector, grid)
-        pairs = solve_spectrum(op, count=count)
+        pairs = solve_bound_levels(params, sector, grid, count=count)
         if len(pairs) < count:
             raise ConvergenceError(
                 f"grid with n_points={grid.n_points} resolved only "

@@ -230,6 +230,8 @@ def test_thread_cap_validation(capsys, monkeypatch):
     (["spectrum", "--D", "3", "--grid-points", "a,b"], "--grid-points"),
     (["spectrum", "--D", "3", "--levels", "0"], "--levels"),
     (["levels", "--D", "3", "--n-max", "0"], "--n-max"),
+    (["spectrum", "--D", "3", "--zalpha", "nan"], "z_alpha must be finite"),
+    (["spectrum", "--D", "2", "--zalpha", "0.49999"], "underflowed"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)

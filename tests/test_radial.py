@@ -1,15 +1,17 @@
 """Staggered-grid radial Hamiltonians and the pollution-free eigensolver."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from susyh import analytic, radial
 from susyh.core import LOG_UNIFORM, UNIFORM, PhysParams, default_grid, \
     kappa_of, make_grid
-from susyh.errors import SpuriousSpectrumError
+from susyh.errors import GridError, SpuriousSpectrumError
 from susyh.radial import (DERIVATIVE, IDENTITY, POTENTIAL, STANDARD, SWAPPED,
                           TruncationWarning, build_radial_hamiltonian,
                           build_radial_operator, compose_operators,
@@ -66,6 +68,24 @@ def test_refined_grid():
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
         make_grid(**kwargs)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("z_alpha", math.nan), ("z_alpha", math.inf),
+    ("m", math.nan), ("m", math.inf),
+])
+def test_params_reject_non_finite(field, value):
+    kwargs = dict(D=3, z_alpha=0.5, m=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhysParams(**kwargs)
+
+
+def test_default_grid_wall_underflow_is_typed():
+    # s = 0.0032, so the default wall 10^(-3/s) underflows to 0.0.
+    p = PhysParams(D=2, z_alpha=0.49999)
+    with pytest.raises(GridError, match="underflowed.*wall_factor.*z_alpha"):
+        default_grid(p, kappa_of(p, 0, 1))
 
 
 def test_default_grid_scales_with_sector():
@@ -176,6 +196,12 @@ def test_spurious_filter_can_reject_everything():
         solve_bound_levels(P3, SECTOR_P, grid, spurious_threshold=-1.0)
 
 
+def test_negative_count_is_rejected():
+    grid = default_grid(P3, SECTOR_P, n_points=200)
+    with pytest.raises(ValueError, match="count"):
+        solve_bound_levels(P3, SECTOR_P, grid, count=-1)
+
+
 def test_solve_spectrum_requires_hamiltonian():
     grid = default_grid(P3, SECTOR_P, n_points=60)
     ident = build_radial_operator(P3, SECTOR_P, grid, IDENTITY)
@@ -249,3 +275,131 @@ def test_alternation_fraction_units():
     ragged = np.cumprod(np.full(50, -1.0))
     assert radial._alternation_fraction(smooth) == 0.0
     assert radial._alternation_fraction(ragged) == 1.0
+
+
+# Reference for the lazy window solve: the algorithm it replaced, which
+# bisects and inverts every level in the window, filters them all, and
+# re-solves the whole window on the doubled grid for the stability check.
+# Tolerances are fixed from the dtype: bisection from another starting
+# interval may end one ulp away, and inverse iteration over another subset
+# of levels moves eigenvectors at roundoff.
+ENERGY_ULPS = 4
+DOUBLET_ATOL = 1e-12
+
+
+def _reference_window(d, e, m):
+    tiny = 1e-12 * m
+    return eigh_tridiagonal(d, e, select="v", select_range=(tiny, m - tiny),
+                            tol=2.0 * np.finfo(np.float64).tiny)
+
+
+def _reference_solve(params, sector, grid, layout, count,
+                     spurious_threshold=0.5, stability_tol=0.02):
+    vals, vecs = _reference_window(
+        *radial._sector_bands(params, sector, grid, layout), params.m)
+    if vals.size == 0:
+        warnings.warn(f"no bound levels in (0, m); requested {count}",
+                      TruncationWarning)
+        return []
+    keep, doublets = [], []
+    for j in range(vals.size):
+        f, g = radial._split_doublet(layout, grid, vecs[:, j])
+        alt = max(radial._alternation_fraction(f),
+                  radial._alternation_fraction(g))
+        if alt <= spurious_threshold:
+            keep.append(j)
+            doublets.append((f, g))
+    if not keep:
+        raise SpuriousSpectrumError("all candidates rejected")
+    vals = vals[keep]
+    ref_vals, _ = _reference_window(
+        *radial._sector_bands(params, sector, grid.refined(2), layout),
+        params.m)
+    stable = [j for j, v in enumerate(vals)
+              if ref_vals.size and np.min(np.abs(ref_vals - v))
+              <= stability_tol * params.m]
+    if not stable:
+        raise SpuriousSpectrumError("no candidate persisted")
+    if len(stable) < count:
+        warnings.warn(f"only {len(stable)} of {count} requested levels "
+                      "resolvable on this grid", TruncationWarning)
+    w_f, w_g = radial._layout_weights(grid, layout)
+    out = []
+    for j in stable[:count]:
+        f, g = doublets[j]
+        norm = math.sqrt(w_f @ f**2 + w_g @ g**2)
+        out.append((float(vals[j] / params.m), f / norm, g / norm))
+    return out
+
+
+def _solve_both(params, sector, grid, layout, count, **kwargs):
+    runs = []
+    for solve in (_reference_solve, solve_bound_levels):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            levels = solve(params, sector, grid, layout=layout, count=count,
+                           **kwargs)
+        runs.append((levels, [str(w.message) for w in caught
+                              if w.category is TruncationWarning]))
+    return runs
+
+
+def _assert_matches_reference(ref, ref_warned, got, got_warned):
+    assert len(got) == len(ref)
+    assert got_warned == ref_warned
+    for (energy, f, g), pair in zip(ref, got):
+        assert abs(pair.energy - energy) <= ENERGY_ULPS * np.spacing(energy)
+        assert np.max(np.abs(pair.doublet[0] - f)) <= DOUBLET_ATOL
+        assert np.max(np.abs(pair.doublet[1] - g)) <= DOUBLET_ATOL
+
+
+@pytest.mark.parametrize("D", range(2, 7))
+@pytest.mark.parametrize("l", range(3))
+def test_lazy_window_solve_matches_reference(D, l):
+    p = PhysParams(D=D, z_alpha=0.2 * (D - 1))
+    for sign, layout, scheme in itertools.product(
+            (1, -1), (STANDARD, SWAPPED), (UNIFORM, LOG_UNIFORM)):
+        sector = kappa_of(p, l, sign)
+        grid = default_grid(p, sector, n_points=150, scheme=scheme)
+        window = _reference_window(
+            *radial._sector_bands(p, sector, grid, layout), p.m)[0].size
+        for count in (1, 3, window + 2):
+            (ref, ref_warned), (got, got_warned) = _solve_both(
+                p, sector, grid, layout, count)
+            _assert_matches_reference(ref, ref_warned, got, got_warned)
+
+
+def _reject_first_candidate(monkeypatch):
+    # The filter sees candidates lowest first, F before G, in both solvers:
+    # failing its first call rejects the lowest window level.
+    calls = itertools.count()
+    original = radial._alternation_fraction
+    monkeypatch.setattr(radial, "_alternation_fraction",
+                        lambda u: 1.0 if next(calls) == 0 else original(u))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_rejection_extends_past_requested_levels(monkeypatch, count):
+    grid = default_grid(P3, SECTOR_P, n_points=200)
+    runs = []
+    for solve in (_reference_solve, solve_bound_levels):
+        _reject_first_candidate(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs.append(solve(P3, SECTOR_P, grid, layout=STANDARD,
+                              count=count))
+    ref, got = runs
+    _assert_matches_reference(ref, [], got, [])
+    # The ground state was rejected, so the lowest kept level is n' = 1.
+    assert abs(got[0].energy - FIRST_EXCITED) < 1e-4
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-300])
+def test_tiny_stability_tol_rejects_everything(tol):
+    # Levels move by ~1e-6 m under grid doubling; 1e-300 m is below one
+    # ulp of every level, so its count interval is empty.
+    grid = default_grid(P3, SECTOR_P, n_points=200)
+    for solve in (_reference_solve, solve_bound_levels):
+        with pytest.raises(SpuriousSpectrumError, match="persisted"):
+            solve(P3, SECTOR_P, grid, layout=STANDARD, count=3,
+                  stability_tol=tol)
