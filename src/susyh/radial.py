@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from . import analytic
@@ -136,20 +137,6 @@ def _cross_block(grid: RadialGrid, kappa: float) -> np.ndarray:
     return c
 
 
-def average_block(grid: RadialGrid) -> np.ndarray:
-    """Two-point average taking samples on grid.nodes to nodes_small rows.
-
-    Row j averages node values j-1 and j; the first row keeps only the value
-    inside the domain (Dirichlet wall).  Its transpose averages the other way.
-    """
-    n = grid.n_points
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, idx] = 0.5
-    a[idx[1:], idx[1:] - 1] = 0.5
-    return a
-
-
 def _diag_potential(params: PhysParams, r: np.ndarray) -> np.ndarray:
     return -params.z_alpha / r
 
@@ -165,26 +152,13 @@ def build_radial_hamiltonian(
     layout=STANDARD puts F on grid.nodes; layout=SWAPPED puts F on
     grid.nodes_small, with the cross coupling built so that the two layouts
     of opposite-kappa sectors share one cross block exactly (the structure
-    the sector-swap operator requires).  The matrix is exactly symmetric.
+    the sector-swap operator requires).  The matrix is exactly symmetric;
+    it is the dense form of _sector_csr.
     """
-    n = grid.n_points
-    m = params.m
-    if layout == STANDARD:
-        r_f, r_g = grid.nodes, grid.nodes_small
-        cross = _cross_block(grid, sector.kappa)
-    elif layout == SWAPPED:
-        r_f, r_g = grid.nodes_small, grid.nodes
-        cross = -_cross_block(grid, -sector.kappa).T
-    else:
-        raise ValueError(f"layout must be {STANDARD!r} or {SWAPPED!r}, got {layout!r}")
-    mat = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    mat[idx, idx] = m + _diag_potential(params, r_f)
-    mat[n + idx, n + idx] = -m + _diag_potential(params, r_g)
-    mat[:n, n:] = cross
-    mat[n:, :n] = cross.T
     return RadialOperator(params=params, sector=sector, grid=grid,
-                          matrix=mat, kind=HAMILTONIAN, layout=layout)
+                          matrix=_sector_csr(params, sector, grid,
+                                             layout).toarray(),
+                          kind=HAMILTONIAN, layout=layout)
 
 
 def build_radial_operator(
@@ -274,6 +248,29 @@ def _interleaved_bands(op: RadialOperator) -> tuple:
     return d, e
 
 
+def _sector_vectors(
+    params: PhysParams,
+    sector: KappaSector,
+    grid: RadialGrid,
+    layout: str,
+) -> tuple:
+    """Nonzero entries of the sector Hamiltonian as vectors.
+
+    Returns (d_f, d_g, e_same, e_next): the F and G diagonals, the coupling
+    of F and G at the same index, and the coupling across one index step
+    (F_j to G_{j+1} for STANDARD, G_j to F_{j+1} for SWAPPED).
+    """
+    m = params.m
+    r_f, r_g = _layout_nodes(grid, layout)
+    d_f = m + _diag_potential(params, r_f)
+    d_g = -m + _diag_potential(params, r_g)
+    if layout == STANDARD:
+        lo, up = _cross_vectors(grid, sector.kappa)
+        return d_f, d_g, lo, up[:-1]
+    lo, up = _cross_vectors(grid, -sector.kappa)
+    return d_f, d_g, -lo, -up[:-1]
+
+
 def _sector_bands(
     params: PhysParams,
     sector: KappaSector,
@@ -285,25 +282,58 @@ def _sector_bands(
     this is the O(n)-memory path for large grids.
     """
     n = grid.n_points
-    m = params.m
-    r_f, r_g = _layout_nodes(grid, layout)
-    d_f = m + _diag_potential(params, r_f)
-    d_g = -m + _diag_potential(params, r_g)
+    d_f, d_g, e_same, e_next = _sector_vectors(params, sector, grid, layout)
     d = np.empty(2 * n)
     e = np.empty(2 * n - 1)
     if layout == STANDARD:
-        lo, up = _cross_vectors(grid, sector.kappa)
+        # Position order G_1, F_1, G_2, F_2, ...
         d[0::2] = d_g
         d[1::2] = d_f
-        e[0::2] = lo
-        e[1::2] = up[:-1]
     else:
-        lo, up = _cross_vectors(grid, -sector.kappa)
+        # Position order F_1, G_1, F_2, G_2, ...
         d[0::2] = d_f
         d[1::2] = d_g
-        e[0::2] = -lo
-        e[1::2] = -up[:-1]
+    e[0::2] = e_same
+    e[1::2] = e_next
     return d, e
+
+
+def _stacked_csr(n: int, bands) -> sp.csr_matrix:
+    """(2n, 2n) CSR matrix from diagonals of its four n x n blocks.
+
+    Each band is (block_row, block_col, offset, values); values run along
+    that diagonal of the block, as in scipy.sparse.diags (offset 1 starts at
+    block entry (0, 1), offset -1 at (1, 0)).
+    """
+    rows, cols, data = [], [], []
+    for block_row, block_col, offset, values in bands:
+        i = np.arange(max(0, -offset), n - max(0, offset))
+        rows.append(block_row * n + i)
+        cols.append(block_col * n + i + offset)
+        data.append(values)
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(2 * n, 2 * n))
+
+
+def _sector_csr(
+    params: PhysParams,
+    sector: KappaSector,
+    grid: RadialGrid,
+    layout: str = STANDARD,
+) -> sp.csr_matrix:
+    """The sector Hamiltonian as a (2n, 2n) CSR matrix, stacked (F, G).
+
+    Same entries as the bands of _sector_bands, so its dense form is the
+    matrix of build_radial_hamiltonian; at most 3 nonzeros per row.
+    """
+    d_f, d_g, e_same, e_next = _sector_vectors(params, sector, grid, layout)
+    step = 1 if layout == STANDARD else -1
+    return _stacked_csr(grid.n_points, [
+        (0, 0, 0, d_f), (1, 1, 0, d_g),
+        (0, 1, 0, e_same), (1, 0, 0, e_same),
+        (0, 1, step, e_next), (1, 0, -step, e_next),
+    ])
 
 
 def _alternation_fraction(u: np.ndarray) -> float:

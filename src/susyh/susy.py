@@ -14,9 +14,15 @@ bottom of the +|kappa| ladder (Witten index 1).
 Discretely, A is assembled so the algebraic identities hold exactly: the
 block form [[0, A_mp], [A_mp^T, 0]] is symmetric by construction, K is
 exactly diagonal, and the charge products reduce to identical gemms with
-sign-symmetric summands, giving bitwise-zero residuals.  The two analytic
-identities that are not structural, A^2 = 1 + ... and [H, A] = 0, hold at
-second order in the grid step and are verified by refinement.
+sign-symmetric summands, giving bitwise-zero residuals.  These dense
+(4n)^2 products are the only dense work, and only at the block's base
+size; products with the diagonal K are applied as row and column scalings.
+The two analytic identities that are not structural, A^2 = 1 + ... and
+[H, A] = 0, hold at second order in the grid step and are verified by
+refinement.  The refinement ladder, the kernel study and the eta pinning
+act with O(n) CSR forms of A_mp and the sector Hamiltonians (at most 3
+nonzeros per row); their sums run in another order than dense products,
+which shifts reported refinement residuals by up to about 1e-5 relative.
 
 Two independent A assemblies are kept: the primary one from the defining
 form A = eta * interp - (kappa / (Z alpha m)) J (H - m gamma^0), and an
@@ -155,31 +161,32 @@ def _floor_masked(res: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.where(np.abs(res) > floor, res, 0.0)
 
 
-def _assemble_a_mp(plus_op: radial.RadialOperator, eta: int,
-                   abs_kappa: float) -> np.ndarray:
-    """Primary A assembly from the block Hamiltonian itself.
+def _assemble_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
+                   eta: int) -> sp.csr_matrix:
+    """Primary A assembly from the plus-sector Hamiltonian's entries, as CSR.
 
     A_mp = eta * blockdiag(Av, Av^T) + c * J (H_plus - m gamma^0), with
     c = kappa / (Z alpha m), J = [[0, -1], [1, 0]] on the doublet, and Av the
     staggered two-point average.  J swaps the component roles, which is what
-    lands the result on the swapped (minus-sector) node sets.
+    lands the result on the swapped (minus-sector) node sets.  Every block
+    is diagonal or bidiagonal, so A_mp has at most 3 nonzeros per row.
     """
-    params = plus_op.params
-    grid = plus_op.grid
-    n = grid.n_points
-    m_mat = plus_op.matrix
+    _, plus_sector = sector_pair(params, abs_kappa)
+    d_f, d_g, cross_same, cross_next = radial._sector_vectors(
+        params, plus_sector, grid, radial.STANDARD)
     c = abs_kappa / (params.z_alpha * params.m)
-    v_int = np.diagonal(m_mat[:n, :n]) - params.m
-    v_half = np.diagonal(m_mat[n:, n:]) + params.m
-    cross = m_mat[:n, n:]
-    av = radial.average_block(grid)
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, :n] = eta * av - c * cross.T
-    a[n:, n:] = eta * av.T + c * cross
-    idx = np.arange(n)
-    a[idx, n + idx] = -c * v_half
-    a[n + idx, idx] = c * v_int
-    return a
+    v_int = d_f - params.m
+    v_half = d_g + params.m
+    # Av carries 0.5 on its diagonal and subdiagonal; the plus cross block
+    # carries cross_same on its diagonal and cross_next on its superdiagonal.
+    return radial._stacked_csr(grid.n_points, [
+        (0, 0, 0, eta * 0.5 - c * cross_same),
+        (0, 0, -1, eta * 0.5 - c * cross_next),
+        (1, 1, 0, eta * 0.5 + c * cross_same),
+        (1, 1, 1, eta * 0.5 + c * cross_next),
+        (0, 1, 0, -c * v_half),
+        (1, 0, 0, c * v_int),
+    ])
 
 
 def _sparse_bidiag(main: np.ndarray, sub: np.ndarray | None = None,
@@ -285,9 +292,7 @@ def _kernel_flat_vector(params: PhysParams, abs_kappa: float,
 
 def _kernel_residual(params: PhysParams, abs_kappa: float, grid: RadialGrid,
                      eta: int) -> float:
-    _, plus_sector = sector_pair(params, abs_kappa)
-    plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
-    a_mp = _assemble_a_mp(plus, eta, abs_kappa)
+    a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
     v = _kernel_flat_vector(params, abs_kappa, grid)
     return interior_norm(a_mp @ v, grid.n_points, 2)
 
@@ -295,13 +300,26 @@ def _kernel_residual(params: PhysParams, abs_kappa: float, grid: RadialGrid,
 def _alternate_gap(params: PhysParams, abs_kappa: float, grid: RadialGrid,
                    eta: int) -> float:
     """Zero-mode action gap between the primary and alternate assemblies."""
-    _, plus_sector = sector_pair(params, abs_kappa)
-    plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
     probe = build_susy_block(params, abs_kappa, grid=grid)
-    a_mp = _assemble_a_mp(plus, eta, abs_kappa)
     alt = alternate_a_mp(probe, eta)
+    a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
     v = _kernel_flat_vector(params, abs_kappa, grid)
-    return interior_norm((a_mp - alt) @ v, grid.n_points, 3)
+    return interior_norm(a_mp @ v - alt @ v, grid.n_points, 3)
+
+
+def _pin_eta(params: PhysParams, abs_kappa: float, grid: RadialGrid) -> int:
+    """The sign whose zero-mode action shrinks by 2x under one doubling."""
+    scores = {}
+    fine = grid.refined(2)
+    for cand in (1, -1):
+        scores[cand] = (_kernel_residual(params, abs_kappa, grid, cand),
+                        _kernel_residual(params, abs_kappa, fine, cand))
+    converging = [cand for cand, (c, f) in scores.items() if f < c / 2.0]
+    if len(converging) != 1:
+        raise ConventionError(
+            f"kernel contract pins no unique sign: residuals {scores}"
+        )
+    return converging[0]
 
 
 def build_A(block: SusyBlock, eta: int | None = None,
@@ -316,24 +334,11 @@ def build_A(block: SusyBlock, eta: int | None = None,
     independent Hermitian-form assembly to agree on the zero mode.
     """
     if eta is None:
-        scores = {}
-        fine = block.grid.refined(2)
-        for cand in (1, -1):
-            coarse = _kernel_residual(block.params, block.abs_kappa,
-                                      block.grid, cand)
-            refined = _kernel_residual(block.params, block.abs_kappa,
-                                       fine, cand)
-            scores[cand] = (coarse, refined)
-        converging = [cand for cand, (c, f) in scores.items()
-                      if f < c / 2.0]
-        if len(converging) != 1:
-            raise ConventionError(
-                f"kernel contract pins no unique sign: residuals {scores}"
-            )
-        eta = converging[0]
+        eta = _pin_eta(block.params, block.abs_kappa, block.grid)
     elif eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    a_mp = _assemble_a_mp(block.plus, eta, block.abs_kappa)
+    a_mp = _assemble_a_mp(block.params, block.abs_kappa, block.grid,
+                          eta).toarray()
     if check_alternate:
         # Agreement "to discretization tolerance" means the gap between the
         # two assemblies vanishes under refinement; its absolute size at one
@@ -377,19 +382,22 @@ class SusyCharges:
 def build_supercharges(block: SusyBlock) -> SusyCharges:
     """Assemble Q1, Q2, Q+- and H_susy from the block's A and K.
 
-    The grading K / |kappa| is formed first (exactly +-1 diagonal), so every
-    scalar multiplication is exact and the nilpotency identities reduce to
-    sums of sign-symmetric floating-point products.
+    The grading p = K / |kappa| is formed first (exactly +-1 on the
+    diagonal), so every scalar multiplication is exact and the nilpotency
+    identities reduce to sums of sign-symmetric floating-point products.
+    The diagonal factors are applied as row and column scalings: a product
+    with a diagonal matrix has one nonzero term per entry, so A p and
+    (1 +- p) A / 2 are the same floats the dense products give, without a
+    (4n)^3 gemm.  Only H_susy = {Q+, Q-} is a genuine dense product.
     """
     if block.A_block is None:
         raise ValueError("A_block not assembled; call build_A first")
     a = block.A_block
-    p = block.K_block / block.abs_kappa  # exactly +-1 diagonal
-    eye = np.eye(a.shape[0])
+    p = np.diagonal(block.K_block) / block.abs_kappa  # exactly +-1
     q1 = a
-    q2 = 1j * (a @ p)
-    q_plus = (0.5 * (eye + p)) @ a
-    q_minus = (0.5 * (eye - p)) @ a
+    q2 = 1j * (a * p)
+    q_plus = (0.5 * (1.0 + p))[:, None] * a
+    q_minus = (0.5 * (1.0 - p))[:, None] * a
     h_susy = q_plus @ q_minus + q_minus @ q_plus
     return SusyCharges(Q1=q1.copy(), Q2=q2, Q_plus=q_plus, Q_minus=q_minus,
                        H_susy=h_susy)
@@ -428,14 +436,15 @@ class SusyVerification:
         return all(r.passed for r in self.rows)
 
 
-def _bound_columns(op: radial.RadialOperator, count: int) -> np.ndarray:
-    """Lowest bound eigencolumns as stacked (F, G) solver-coordinate vectors."""
-    vals, vecs = radial._bound_window_solve(*radial._interleaved_bands(op),
-                                            op.params.m)
+def _bound_columns(params: PhysParams, sector: KappaSector, grid: RadialGrid,
+                   count: int) -> np.ndarray:
+    """Lowest bound eigencolumns of the sector in the STANDARD layout, as
+    stacked (F, G) solver-coordinate vectors."""
+    bands = radial._sector_bands(params, sector, grid, radial.STANDARD)
+    vals, vecs = radial._bound_window_solve(*bands, params.m)
     cols = vecs[:, :count]
-    if op.layout == radial.STANDARD:
-        return np.vstack([cols[1::2], cols[0::2]])
-    return np.vstack([cols[0::2], cols[1::2]])
+    # Position order G_1, F_1, G_2, F_2, ...
+    return np.vstack([cols[1::2], cols[0::2]])
 
 
 def _fit_order(ns, residuals) -> float:
@@ -453,24 +462,40 @@ def verify_A_squared(
 
     Structural identities (A symmetric, {A, K} = 0, Q+-^2 = 0, {Q1, Q2} = 0,
     H_susy = A^2) are checked for exact zero max element at the block's own
-    grid size.  The two analytic identities, A^2 = 1 + (K/Z alpha)^2
-    (H^2/m^2 - 1) and [H, A] = 0, are genuine discretizations: their
-    residuals are measured by action on the lowest `ensemble` bound states
-    plus the zero mode, on interior rows, over `refinements` grid doublings,
-    and must shrink by min_ratio per doubling.  Entries at their own
-    roundoff floor are dropped first (see _floor_masked); without that the
-    blocks with s < 1/2 fail spuriously, because rows pinned at the inner
-    wall amplify machine noise by 1/(step * r)^2 under the composed
-    operators.  Raw operator norms of those residual matrices are reported
-    in diagnostics when include_raw is set; they diverge like 1/step because
+    grid size.  This is the only dense work: {A, K} applies the diagonal K
+    as row and column scalings, and the squares and {Q1, Q2} (in real
+    arithmetic on Im Q2, since Q2 is purely imaginary) are (4n)^3 gemms.
+    The two analytic identities, A^2 = 1 + (K/Z alpha)^2 (H^2/m^2 - 1) and
+    [H, A] = 0, are genuine discretizations: their residuals are measured by
+    action on the lowest `ensemble` bound states plus the zero mode, on
+    interior rows, over `refinements` (at least 1) grid doublings, and must
+    shrink by min_ratio per doubling.  Each level, the base included,
+    assembles only A_mp (with the block's eta), H+ and H- as CSR (at most 3
+    nonzeros per row), so the ladder costs O(n) per state.  Sparse products
+    sum in another order than dense ones, which moves the reported residuals
+    by up to about 1e-5 relative where entries sit at the edge of the
+    roundoff mask.  Entries at their own roundoff floor are dropped first
+    (see _floor_masked); without that the blocks with s < 1/2 fail
+    spuriously, because rows pinned at the inner wall amplify machine noise
+    by 1/(step * r)^2 under the composed operators.  Raw operator norms of
+    those residual matrices, formed as sparse products, are reported in
+    diagnostics when include_raw is set; they diverge like 1/step because
     rows near the origin carry 1/r-weighted coefficients with no bound-state
     support, which is why the bound-state seminorm is the contractual
     metric.  Structural rows cost O((4n)^3); prefer a modest base grid.
     """
+    if refinements < 1:
+        raise ValueError(
+            f"refinements must be >= 1 to measure a refinement ratio, "
+            f"got {refinements}"
+        )
     blk = block if block.A_block is not None else build_A(block)
     rows = []
     charges = build_supercharges(blk)
-    a, k = blk.A_block, blk.K_block
+    a = blk.A_block
+    k = np.diagonal(blk.K_block)
+    # Q2 is purely imaginary; a contiguous Im Q2 keeps {Q1, Q2} a real gemm.
+    q2 = np.ascontiguousarray(charges.Q2.imag)
 
     def exact_row(name, mat):
         res = float(np.max(np.abs(mat)))
@@ -479,60 +504,60 @@ def verify_A_squared(
                               passed=res == 0.0))
 
     exact_row("a_symmetric", a - a.T)
-    exact_row("anticommutator_k_a", a @ k + k @ a)
+    exact_row("anticommutator_k_a", a * k + k[:, None] * a)
     exact_row("q_plus_squared", charges.Q_plus @ charges.Q_plus)
     exact_row("q_minus_squared", charges.Q_minus @ charges.Q_minus)
-    exact_row("anticommutator_q1_q2",
-              charges.Q1 @ charges.Q2 + charges.Q2 @ charges.Q1)
+    exact_row("anticommutator_q1_q2", charges.Q1 @ q2 + q2 @ charges.Q1)
     exact_row("h_susy_equals_a_squared", charges.H_susy - a @ a)
 
     ns, eq6_res, comm_res, kern_res = [], [], [], []
     diagnostics: dict = {"raw_norms": []} if include_raw else {}
-    factor = (blk.abs_kappa / blk.params.z_alpha) ** 2
-    m = blk.params.m
-    level = blk
-    for _ in range(refinements + 1):
-        n = level.n
+    params, ak = blk.params, blk.abs_kappa
+    factor = (ak / params.z_alpha) ** 2
+    m = params.m
+    plus_sector, minus_sector = blk.plus.sector, blk.minus.sector
+    grid = blk.grid
+    for level in range(refinements + 1):
+        if level:
+            grid = grid.refined(2)
+        n = grid.n_points
         ns.append(n)
-        a_mp = level.a_mp()
-        hp = level.plus.matrix
-        hm = level.minus.matrix
-        a_abs, hp_abs, hm_abs = np.abs(a_mp), np.abs(hp), np.abs(hm)
-        vk = _kernel_flat_vector(level.params, level.abs_kappa, level.grid)
-        cols = _bound_columns(level.plus, ensemble)
-        vs = np.column_stack([cols, vk])
-        eq6 = []
-        comm = []
-        for j in range(vs.shape[1]):
-            v = vs[:, j]
-            va = np.abs(v)
-            av = a_mp @ v
-            r_eq6 = a_mp.T @ av - v - factor * ((hp @ (hp @ v)) / m**2 - v)
-            s_eq6 = a_abs.T @ (a_abs @ va) + va \
-                + factor * ((hp_abs @ (hp_abs @ va)) / m**2 + va)
-            r_comm = hm @ av - a_mp @ (hp @ v)
-            s_comm = hm_abs @ (a_abs @ va) + a_abs @ (hp_abs @ va)
-            eq6.append(interior_norm(_floor_masked(r_eq6, s_eq6), n, 3))
-            comm.append(interior_norm(_floor_masked(r_comm, s_comm), n, 3))
+        a_mp = _assemble_a_mp(params, ak, grid, blk.eta)
+        hp = radial._sector_csr(params, plus_sector, grid, radial.STANDARD)
+        hm = radial._sector_csr(params, minus_sector, grid, radial.SWAPPED)
+        a_abs, hp_abs, hm_abs = abs(a_mp), abs(hp), abs(hm)
+        vk = _kernel_flat_vector(params, ak, grid)
+        # Columns: the lowest `ensemble` bound states, then the zero mode.
+        vs = np.column_stack([
+            _bound_columns(params, plus_sector, grid, ensemble), vk])
+        va = np.abs(vs)
+        av = a_mp @ vs
+        r_eq6 = a_mp.T @ av - vs - factor * ((hp @ (hp @ vs)) / m**2 - vs)
+        s_eq6 = a_abs.T @ (a_abs @ va) + va \
+            + factor * ((hp_abs @ (hp_abs @ va)) / m**2 + va)
+        r_comm = hm @ av - a_mp @ (hp @ vs)
+        s_comm = hm_abs @ (a_abs @ va) + a_abs @ (hp_abs @ va)
+        r_eq6 = _floor_masked(r_eq6, s_eq6)
+        r_comm = _floor_masked(r_comm, s_comm)
+        eq6 = [interior_norm(col, n, 3) for col in r_eq6.T]
+        comm = [interior_norm(col, n, 3) for col in r_comm.T]
         eq6_res.append(float(np.sqrt(np.mean(np.square(eq6)))))
         comm_res.append(float(np.sqrt(np.mean(np.square(comm)))))
         kern_res.append(interior_norm(
-            _floor_masked(a_mp @ vk, a_abs @ np.abs(vk)), n, 2))
+            _floor_masked(av[:, -1], a_abs @ va[:, -1]), n, 2))
         if include_raw:
-            r_eq6_mat = a_mp.T @ a_mp - np.eye(2 * n) \
-                - factor * ((hp @ hp) / m**2 - np.eye(2 * n))
+            eye = sp.identity(2 * n, format="csr")
+            r_eq6_mat = a_mp.T @ a_mp - eye \
+                - factor * ((hp @ hp) / m**2 - eye)
             r_comm_mat = hm @ a_mp - a_mp @ hp
-            diagnostics["raw_norms"].append({
-                "n_points": n,
-                "eq6_frobenius": float(np.linalg.norm(r_eq6_mat)),
-                "eq6_max_element": float(np.max(np.abs(r_eq6_mat))),
-                "commutator_frobenius": float(np.linalg.norm(r_comm_mat)),
-                "commutator_max_element": float(np.max(np.abs(r_comm_mat))),
-            })
-        if len(ns) <= refinements:
-            nxt = build_susy_block(level.params, level.abs_kappa,
-                                   grid=level.grid.refined(2))
-            level = build_A(nxt, eta=blk.eta, check_alternate=False)
+            raw = {"n_points": n}
+            # Sparse sums and products store each entry once, so norms of
+            # .data are the norms of the whole matrix.
+            for name, mat in (("eq6", r_eq6_mat), ("commutator", r_comm_mat)):
+                raw[f"{name}_frobenius"] = float(np.linalg.norm(mat.data))
+                raw[f"{name}_max_element"] = float(
+                    np.max(np.abs(mat.data), initial=0.0))
+            diagnostics["raw_norms"].append(raw)
     if include_raw:
         diagnostics["raw_norms_note"] = (
             "raw matrix norms do not converge: near-wall rows carry 1/r "
@@ -716,21 +741,23 @@ def kernel_annihilation_report(
     refinement ladder.  eta defaults to the kernel-contract pinning on the
     coarsest pair.
     """
+    if len(n_points) < 2 or any(b <= a for a, b in zip(n_points,
+                                                      n_points[1:])):
+        raise ValueError(
+            f"grid family must have increasing n_points, got {list(n_points)}"
+        )
     _, plus_sector = sector_pair(params, abs_kappa)
     grids = [default_grid(params, plus_sector, n_points=n, scheme=scheme)
              for n in n_points]
     if eta is None:
-        base = build_susy_block(params, abs_kappa, grid=grids[0])
-        eta = build_A(base, check_alternate=False).eta
+        eta = _pin_eta(params, abs_kappa, grids[0])
     residuals = []
-    rq = float("nan")
     for grid in grids:
-        plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
-        a_mp = _assemble_a_mp(plus, eta, abs_kappa)
+        a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
         v = _kernel_flat_vector(params, abs_kappa, grid)
         residuals.append(interior_norm(a_mp @ v, grid.n_points, 2))
-        if grid is grids[-1]:
-            rq = float((v @ (plus.matrix @ v)) / (v @ v) / params.m)
+    h_plus = radial._sector_csr(params, plus_sector, grids[-1])
+    rq = float((v @ (h_plus @ v)) / (v @ v) / params.m)
     ground = analytic.ground_energy(params, abs_kappa)
     ratios = tuple(a / b for a, b in zip(residuals[:-1], residuals[1:]))
     return KernelReport(

@@ -232,6 +232,8 @@ def test_thread_cap_validation(capsys, monkeypatch):
     (["levels", "--D", "3", "--n-max", "0"], "--n-max"),
     (["spectrum", "--D", "3", "--zalpha", "nan"], "z_alpha must be finite"),
     (["spectrum", "--D", "2", "--zalpha", "0.49999"], "underflowed"),
+    (["kernel", "--D", "3", "--grid-points", "200,200"],
+     "increasing n_points"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)

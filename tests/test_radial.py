@@ -121,6 +121,41 @@ def test_banded_assembly_matches_dense():
             assert np.array_equal(e, e_ref)
 
 
+def _dense_hamiltonian(params, sector, grid, layout):
+    """Reference: the dense assembly that the CSR sector operator replaced."""
+    n = grid.n_points
+    if layout == STANDARD:
+        r_f, r_g = grid.nodes, grid.nodes_small
+        cross = radial._cross_block(grid, sector.kappa)
+    else:
+        r_f, r_g = grid.nodes_small, grid.nodes
+        cross = -radial._cross_block(grid, -sector.kappa).T
+    mat = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    mat[idx, idx] = params.m + radial._diag_potential(params, r_f)
+    mat[n + idx, n + idx] = -params.m + radial._diag_potential(params, r_g)
+    mat[:n, n:] = cross
+    mat[n:, :n] = cross.T
+    return mat
+
+
+@pytest.mark.parametrize("scheme", [UNIFORM, LOG_UNIFORM])
+def test_sector_csr_matches_dense_assembly(scheme):
+    # Same floats entry by entry (the old swapped assembly negated its zeros
+    # to -0.0, which compare equal); at most 3 stored entries per row.
+    for D, l, sign, layout in itertools.product(
+            (2, 3, 5), (0, 1), (1, -1), (STANDARD, SWAPPED)):
+        params = PhysParams(D=D, z_alpha=0.4 if D == 2 else 0.5)
+        sector = kappa_of(params, l, sign)
+        grid = default_grid(params, sector, n_points=70, scheme=scheme)
+        csr = radial._sector_csr(params, sector, grid, layout)
+        ref = _dense_hamiltonian(params, sector, grid, layout)
+        assert np.array_equal(csr.toarray(), ref)
+        assert np.array_equal(
+            build_radial_hamiltonian(params, sector, grid, layout).matrix, ref)
+        assert csr.nnz == 6 * grid.n_points - 2
+
+
 def test_ground_state_accuracy():
     grid = default_grid(P3, SECTOR_P, n_points=800)
     pairs = solve_bound_levels(P3, SECTOR_P, grid, count=3)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from susyh import radial, susy
 from susyh.core import PhysParams, default_grid
@@ -308,3 +309,257 @@ def test_interior_norm_drops_wall_rows():
     edge = np.zeros(2 * n)
     edge[0] = edge[n - 1] = edge[n] = edge[2 * n - 1] = 1e9
     assert interior_norm(edge, n, margin) == 0.0
+
+
+# --- References: the dense assembly and the dense refinement ladder that
+# the sparse operators replaced, kept here to pin the port. ---------------
+
+def _dense_a_mp(plus_op, eta, abs_kappa):
+    """Dense A_mp from the dense plus-sector Hamiltonian (replaced formula)."""
+    params, grid = plus_op.params, plus_op.grid
+    n = grid.n_points
+    m_mat = plus_op.matrix
+    c = abs_kappa / (params.z_alpha * params.m)
+    v_int = np.diagonal(m_mat[:n, :n]) - params.m
+    v_half = np.diagonal(m_mat[n:, n:]) + params.m
+    cross = m_mat[:n, n:]
+    av = np.zeros((n, n))  # two-point average, nodes to nodes_small rows
+    idx = np.arange(n)
+    av[idx, idx] = 0.5
+    av[idx[1:], idx[1:] - 1] = 0.5
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, :n] = eta * av - c * cross.T
+    a[n:, n:] = eta * av.T + c * cross
+    a[idx, n + idx] = -c * v_half
+    a[n + idx, idx] = c * v_int
+    return a
+
+
+def _dense_level(params, abs_kappa, grid, eta):
+    minus_sector, plus_sector = sector_pair(params, abs_kappa)
+    plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
+    minus = radial.build_radial_hamiltonian(params, minus_sector, grid,
+                                            layout=radial.SWAPPED)
+    return _dense_a_mp(plus, eta, abs_kappa), plus, minus.matrix
+
+
+def _dense_charges(block):
+    a = block.A_block
+    p = block.K_block / block.abs_kappa
+    eye = np.eye(a.shape[0])
+    q_plus = (0.5 * (eye + p)) @ a
+    q_minus = (0.5 * (eye - p)) @ a
+    return (a, 1j * (a @ p), q_plus, q_minus,
+            q_plus @ q_minus + q_minus @ q_plus)
+
+
+def _dense_verify(block, min_ratio=3.5, refinements=2, ensemble=4,
+                  include_raw=False):
+    """The dense verify_A_squared: structural rows with dense K and complex
+    Q2, refinement rows by dense matvecs on fully assembled levels."""
+    a, k = block.A_block, block.K_block
+    q1, q2, q_plus, q_minus, h_susy = _dense_charges(block)
+    exact = {
+        "a_symmetric": a - a.T,
+        "anticommutator_k_a": a @ k + k @ a,
+        "q_plus_squared": q_plus @ q_plus,
+        "q_minus_squared": q_minus @ q_minus,
+        "anticommutator_q1_q2": q1 @ q2 + q2 @ q1,
+        "h_susy_equals_a_squared": h_susy - a @ a,
+    }
+    rows = {name: (float(np.max(np.abs(mat))), None)
+            for name, mat in exact.items()}
+    params, ak, m = block.params, block.abs_kappa, block.params.m
+    factor = (ak / params.z_alpha) ** 2
+    ns, eq6_res, comm_res, kern_res, raw = [], [], [], [], []
+    grid = block.grid
+    for level in range(refinements + 1):
+        if level:
+            grid = grid.refined(2)
+        n = grid.n_points
+        ns.append(n)
+        a_mp, plus, hm = _dense_level(params, ak, grid, block.eta)
+        hp = plus.matrix
+        a_abs, hp_abs, hm_abs = np.abs(a_mp), np.abs(hp), np.abs(hm)
+        vk = susy._kernel_flat_vector(params, ak, grid)
+        _, vecs = radial._bound_window_solve(*radial._interleaved_bands(plus),
+                                             m)
+        cols = vecs[:, :ensemble]
+        vs = np.column_stack([np.vstack([cols[1::2], cols[0::2]]), vk])
+        eq6, comm = [], []
+        for j in range(vs.shape[1]):
+            v = vs[:, j]
+            va = np.abs(v)
+            av = a_mp @ v
+            r_eq6 = a_mp.T @ av - v - factor * ((hp @ (hp @ v)) / m**2 - v)
+            s_eq6 = a_abs.T @ (a_abs @ va) + va \
+                + factor * ((hp_abs @ (hp_abs @ va)) / m**2 + va)
+            r_comm = hm @ av - a_mp @ (hp @ v)
+            s_comm = hm_abs @ (a_abs @ va) + a_abs @ (hp_abs @ va)
+            eq6.append(interior_norm(susy._floor_masked(r_eq6, s_eq6), n, 3))
+            comm.append(interior_norm(susy._floor_masked(r_comm, s_comm), n,
+                                      3))
+        eq6_res.append(float(np.sqrt(np.mean(np.square(eq6)))))
+        comm_res.append(float(np.sqrt(np.mean(np.square(comm)))))
+        kern_res.append(interior_norm(
+            susy._floor_masked(a_mp @ vk, a_abs @ np.abs(vk)), n, 2))
+        if include_raw:
+            r_eq6_mat = a_mp.T @ a_mp - np.eye(2 * n) \
+                - factor * ((hp @ hp) / m**2 - np.eye(2 * n))
+            r_comm_mat = hm @ a_mp - a_mp @ hp
+            raw.append({
+                "n_points": n,
+                "eq6_frobenius": float(np.linalg.norm(r_eq6_mat)),
+                "eq6_max_element": float(np.max(np.abs(r_eq6_mat))),
+                "commutator_frobenius": float(np.linalg.norm(r_comm_mat)),
+                "commutator_max_element": float(np.max(np.abs(r_comm_mat))),
+            })
+    for name, res in (("a_squared_identity", eq6_res),
+                      ("commutator_h_a", comm_res),
+                      ("kernel_annihilation", kern_res)):
+        rows[name] = (tuple(res), susy._fit_order(ns, res))
+    return rows, raw
+
+
+def _dense_kernel_study(params, abs_kappa, n_points, eta):
+    _, plus_sector = sector_pair(params, abs_kappa)
+    residuals = []
+    for n in n_points:
+        grid = default_grid(params, plus_sector, n_points=n)
+        plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
+        v = susy._kernel_flat_vector(params, abs_kappa, grid)
+        residuals.append(interior_norm(_dense_a_mp(plus, eta, abs_kappa) @ v,
+                                       n, 2))
+    rq = float((v @ (plus.matrix @ v)) / (v @ v) / params.m)
+    return residuals, rq
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def _assert_matches_dense(verification, block, include_raw=False):
+    ref, raw = _dense_verify(block, include_raw=include_raw)
+    ref_flags = {}
+    for row in verification.rows:
+        residual, order = ref[row.name]
+        if order is None:
+            assert row.residual == 0.0 and residual == 0.0, row.name
+            ref_flags[row.name] = True
+            continue
+        ref_flags[row.name] = all(a / b >= 3.5
+                                  for a, b in zip(residual, residual[1:]))
+        for new, old in zip(row.residuals, residual):
+            assert _rel(new, old) <= 1e-4, row.name
+        assert abs(row.refinement_order - order) <= 1e-5, row.name
+    assert {r.name: r.passed for r in verification.rows} == ref_flags
+    if include_raw:
+        got = verification.diagnostics["raw_norms"]
+        assert [d["n_points"] for d in got] == [d["n_points"] for d in raw]
+        for new, old in zip(got, raw):
+            for key in old:
+                assert _rel(new[key], old[key]) <= 1e-4, key
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_sparse_a_mp_equals_dense_formula(case):
+    D, ak = case
+    params = _params(D)
+    _, plus_sector = sector_pair(params, ak)
+    for scheme in (susy.LOG_UNIFORM, susy.UNIFORM):
+        grid = default_grid(params, plus_sector, n_points=70, scheme=scheme)
+        plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
+        for eta in (1, -1):
+            a_mp = susy._assemble_a_mp(params, ak, grid, eta)
+            assert sp.issparse(a_mp) and a_mp.nnz <= 3 * 2 * grid.n_points
+            assert np.array_equal(a_mp.toarray(), _dense_a_mp(plus, eta, ak))
+
+
+@pytest.mark.parametrize("case", [(2, 0.5), (3, 1.0), (4, 2.5)])
+def test_supercharges_equal_gemm_with_diagonal(small_blocks, case):
+    # Row and column scalings give the floats of the dense products with
+    # the diagonal grading.
+    block = small_blocks[case]
+    charges = build_supercharges(block)
+    got = (charges.Q1, charges.Q2, charges.Q_plus, charges.Q_minus,
+           charges.H_susy)
+    for new, old in zip(got, _dense_charges(block)):
+        assert new.dtype == old.dtype
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_sparse_ladder_matches_dense_reference(small_blocks, case):
+    block = small_blocks[case]
+    _assert_matches_dense(verify_A_squared(block), block)
+
+
+def test_sparse_ladder_matches_dense_reference_with_raw():
+    block = build_A(build_susy_block(P3, 1.0, n_points=200))
+    verification = verify_A_squared(block, include_raw=True)
+    _assert_matches_dense(verification, block, include_raw=True)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_sparse_kernel_study_matches_dense_reference(case):
+    D, ak = case
+    params = _params(D)
+    family = (80, 160, 320)
+    report = kernel_annihilation_report(params, ak, n_points=family)
+    residuals, rq = _dense_kernel_study(params, ak, family, eta=1)
+    for new, old in zip(report.residuals, residuals):
+        assert _rel(new, old) <= 1e-9
+    assert _rel(report.rayleigh_quotient, rq) <= 1e-13
+    # The alternate-assembly gap, (A_mp - alt) v before the port.
+    grid = default_grid(params, sector_pair(params, ak)[1], n_points=80)
+    block = build_susy_block(params, ak, grid=grid)
+    alt = susy.alternate_a_mp(block, 1)
+    v = susy._kernel_flat_vector(params, ak, grid)
+    old_gap = interior_norm((_dense_a_mp(block.plus, 1, ak) - alt) @ v, 80, 3)
+    assert _rel(susy._alternate_gap(params, ak, grid, 1), old_gap) <= 1e-12
+
+
+def test_sparse_kernel_study_matches_dense_reference_default_family():
+    report = kernel_annihilation_report(P3, 1.0)
+    residuals, rq = _dense_kernel_study(P3, 1.0, report.n_points, eta=1)
+    for new, old in zip(report.residuals, residuals):
+        assert _rel(new, old) <= 1e-9
+    assert _rel(report.rayleigh_quotient, rq) <= 1e-13
+
+
+@pytest.mark.parametrize("case", [(3, 1.0), (4, 1.5)])
+def test_sparse_ladder_sees_a_perturbed_assembly(monkeypatch, case):
+    # Negative control: 1e-3 on one interior diagonal entry of A_mp, where
+    # the zero mode peaks, must break both analytic identities.  The block
+    # is built first, so the defect lives only in the sparse ladder and the
+    # structural rows stay exact.
+    D, ak = case
+    params = _params(D)
+    block = build_A(build_susy_block(params, ak, n_points=200))
+    true_assembly = susy._assemble_a_mp
+
+    def perturbed(params, abs_kappa, grid, eta):
+        a_mp = true_assembly(params, abs_kappa, grid, eta)
+        n = grid.n_points
+        vk = susy._kernel_flat_vector(params, abs_kappa, grid)
+        i = int(np.argmax(np.abs(vk[:n])))
+        return a_mp + sp.csr_matrix(([1e-3], ([i], [i])), shape=a_mp.shape)
+
+    assert verify_A_squared(block).all_passed
+    monkeypatch.setattr(susy, "_assemble_a_mp", perturbed)
+    by_name = {r.name: r for r in verify_A_squared(block).rows}
+    assert not by_name["a_squared_identity"].passed
+    assert not by_name["commutator_h_a"].passed
+    assert by_name["a_symmetric"].passed
+
+
+@pytest.mark.parametrize("refinements", [0, -1])
+def test_verify_needs_a_refinement(small_blocks, refinements):
+    with pytest.raises(ValueError, match="refinements"):
+        verify_A_squared(small_blocks[(3, 1.0)], refinements=refinements)
+
+
+@pytest.mark.parametrize("family", [(200,), (200, 200), (400, 200), ()])
+def test_kernel_report_rejects_degenerate_family(family):
+    with pytest.raises(ValueError, match="increasing n_points"):
+        kernel_annihilation_report(P3, 1.0, n_points=family)
