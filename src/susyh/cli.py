@@ -12,7 +12,9 @@ Exit status: 0 when every check passes, 1 when a check fails, 2 on usage or
 validation errors.  Runs are deterministic: repeated invocations produce
 byte-identical output.  Floats are printed at up to 17 significant digits
 (%.17g in csv/text; shortest round-trip in json, which is exact to the same
-guarantee).  SUSYH_THREADS caps worker threads for multi-block commands.
+guarantee).  SUSYH_THREADS caps the worker threads that `levels` and
+`verify --clifford-only` run over a D range (one task per dimension); it
+does not touch BLAS threads.
 """
 
 from __future__ import annotations

@@ -571,11 +571,12 @@ def convergence_study(
     The reference for level index k is the analytic energy of radial quantum
     number n' = k (kappa > 0) or n' = k + 1 (kappa < 0, which has no n' = 0
     level).  fitted_order is the least-squares slope of log error against
-    log n_points, negated.
+    log n_points, negated.  The family needs at least two grids with
+    increasing n_points; ValueError otherwise.
     """
     grids = list(grid_family)
     ns = [g.n_points for g in grids]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
+    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"grid family must have increasing n_points, got {ns}")
     per_level = []
     for grid in grids:

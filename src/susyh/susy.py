@@ -13,16 +13,23 @@ bottom of the +|kappa| ladder (Witten index 1).
 
 Discretely, A is assembled so the algebraic identities hold exactly: the
 block form [[0, A_mp], [A_mp^T, 0]] is symmetric by construction, K is
-exactly diagonal, and the charge products reduce to identical gemms with
-sign-symmetric summands, giving bitwise-zero residuals.  These dense
-(4n)^2 products are the only dense work, and only at the block's base
-size; products with the diagonal K are applied as row and column scalings.
+exactly diagonal, and each charge product has a partner made of the same
+floating-point products with opposite signs, giving bitwise-zero residuals
+when both are summed in the same order.  verify_A_squared forms them as CSR
+products (A has at most 3 nonzeros per row): Im Q2 = A p and Q+- =
+(1 +- p) A / 2, with p = K / |kappa| = +-1, scale A's data only, so all four
+share A's index structure and every product sums over k in A's index order.
+Products with a scipy.sparse diagonal would reorder the indices of their
+result, and {Q1, Q2} and H_susy - A^2 would then come out nonzero.
 The two analytic identities that are not structural, A^2 = 1 + ... and
 [H, A] = 0, hold at second order in the grid step and are verified by
-refinement.  The refinement ladder, the kernel study and the eta pinning
-act with O(n) CSR forms of A_mp and the sector Hamiltonians (at most 3
-nonzeros per row); their sums run in another order than dense products,
-which shifts reported refinement residuals by up to about 1e-5 relative.
+refinement.  The refinement ladder, the kernel study, the eta pinning and
+the alternate-assembly check act with O(n) CSR forms of A_mp and the sector
+Hamiltonians; their sums run in another order than dense products, which
+shifts reported refinement residuals by up to about 1e-5 relative.  Dense
+(4n)^2 arrays remain in SusyBlock (H_block, K_block, A_block) and in
+build_supercharges, which return them as public objects; verify reads
+A_block and the diagonal of K_block but forms no dense product.
 
 Two independent A assemblies are kept: the primary one from the defining
 form A = eta * interp - (kappa / (Z alpha m)) J (H - m gamma^0), and an
@@ -202,8 +209,9 @@ def _sparse_bidiag(main: np.ndarray, sub: np.ndarray | None = None,
     return sp.diags(diags, offsets, shape=(n, n), format="csr")
 
 
-def alternate_a_mp(block: SusyBlock, eta: int | None = None) -> np.ndarray:
-    """Independent A assembly from the Hermitian vector form.
+def alternate_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
+                   eta: int) -> sp.csr_matrix:
+    """Independent A assembly from the Hermitian vector form, as CSR.
 
     The radial reduction of (1 / (2 m Z alpha)) {p, L} - x/r gives, acting
     between the sectors,
@@ -218,11 +226,8 @@ def alternate_a_mp(block: SusyBlock, eta: int | None = None) -> np.ndarray:
     then conjugated into the transformed representation.  Wall rows are not
     stencil-complete; compare on interior rows.
     """
-    if eta is None:
-        eta = 1 if block.eta is None else block.eta
-    params, grid = block.params, block.grid
     n = grid.n_points
-    ak = block.abs_kappa
+    ak = abs_kappa
     nu = (params.D - 1) / 2
     r_i = grid.nodes
     r_h = grid.nodes_small
@@ -260,22 +265,18 @@ def alternate_a_mp(block: SusyBlock, eta: int | None = None) -> np.ndarray:
         return term1 + term2 + term3
 
     scale = 1.0 / (2.0 * params.z_alpha * params.m)
-    ul = eta * (avg_ih - scale * w_blocks(ak, d_ih, d_hi, avg_ih, avg_hi, r_i, r_h))
-    lr = eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih, r_h, r_i))
-    ul = ul.toarray()
-    lr = lr.toarray()
+    ul = (eta * (avg_ih - scale * w_blocks(ak, d_ih, d_hi, avg_ih, avg_hi,
+                                           r_i, r_h))).tocsr()
+    lr = (eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih,
+                                           r_h, r_i))).tocsr()
     if grid.scheme == LOG_UNIFORM:
         s_i = np.sqrt(r_i)
         s_h = np.sqrt(r_h)
-        ul = (s_h[:, None] * ul) / s_i[None, :]
-        lr = (s_i[:, None] * lr) / s_h[None, :]
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, :n] = ul
-    a[n:, n:] = lr
-    idx = np.arange(n)
-    a[idx, n + idx] = ak / (params.m * r_h)
-    a[n + idx, idx] = -ak / (params.m * r_i)
-    return a
+        for blk, s_row, s_col in ((ul, s_h, s_i), (lr, s_i, s_h)):
+            rows = np.repeat(np.arange(n), np.diff(blk.indptr))
+            blk.data = (s_row[rows] * blk.data) / s_col[blk.indices]
+    return sp.bmat([[ul, di(ak / (params.m * r_h))],
+                    [di(-ak / (params.m * r_i)), lr]], format="csr")
 
 
 def _kernel_flat_vector(params: PhysParams, abs_kappa: float,
@@ -300,8 +301,7 @@ def _kernel_residual(params: PhysParams, abs_kappa: float, grid: RadialGrid,
 def _alternate_gap(params: PhysParams, abs_kappa: float, grid: RadialGrid,
                    eta: int) -> float:
     """Zero-mode action gap between the primary and alternate assemblies."""
-    probe = build_susy_block(params, abs_kappa, grid=grid)
-    alt = alternate_a_mp(probe, eta)
+    alt = alternate_a_mp(params, abs_kappa, grid, eta)
     a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
     v = _kernel_flat_vector(params, abs_kappa, grid)
     return interior_norm(a_mp @ v - alt @ v, grid.n_points, 3)
@@ -389,6 +389,8 @@ def build_supercharges(block: SusyBlock) -> SusyCharges:
     with a diagonal matrix has one nonzero term per entry, so A p and
     (1 +- p) A / 2 are the same floats the dense products give, without a
     (4n)^3 gemm.  Only H_susy = {Q+, Q-} is a genuine dense product.
+    verify_A_squared does not call this: it forms the same products on CSR
+    matrices that share A's index structure.
     """
     if block.A_block is None:
         raise ValueError("A_block not assembled; call build_A first")
@@ -462,9 +464,12 @@ def verify_A_squared(
 
     Structural identities (A symmetric, {A, K} = 0, Q+-^2 = 0, {Q1, Q2} = 0,
     H_susy = A^2) are checked for exact zero max element at the block's own
-    grid size.  This is the only dense work: {A, K} applies the diagonal K
-    as row and column scalings, and the squares and {Q1, Q2} (in real
-    arithmetic on Im Q2, since Q2 is purely imaginary) are (4n)^3 gemms.
+    grid size.  A is read from the block's A_block into CSR with sorted
+    indices and no explicit zeros; Im Q2 = A p and Q+- = (1 +- p) A / 2
+    (p = K / |kappa|) scale its data only and share its index structure, so
+    each product sums over k in A's index order and the sign-symmetric sums
+    cancel exactly.  The pass costs one scan of the dense A_block plus O(n)
+    sparse work, and allocates no (4n)^2 array.
     The two analytic identities, A^2 = 1 + (K/Z alpha)^2 (H^2/m^2 - 1) and
     [H, A] = 0, are genuine discretizations: their residuals are measured by
     action on the lowest `ensemble` bound states plus the zero mode, on
@@ -482,7 +487,7 @@ def verify_A_squared(
     diagnostics when include_raw is set; they diverge like 1/step because
     rows near the origin carry 1/r-weighted coefficients with no bound-state
     support, which is why the bound-state seminorm is the contractual
-    metric.  Structural rows cost O((4n)^3); prefer a modest base grid.
+    metric.
     """
     if refinements < 1:
         raise ValueError(
@@ -491,24 +496,38 @@ def verify_A_squared(
         )
     blk = block if block.A_block is not None else build_A(block)
     rows = []
-    charges = build_supercharges(blk)
-    a = blk.A_block
+    # A as CSR with sorted indices and no explicit zeros.  Im Q2 = A p and
+    # Q+- = (1 +- p) A / 2 scale A's data only, so all four share A's
+    # indptr/indices: every product then sums over k in A's index order, the
+    # same order for both halves of each sign-symmetric pair.
+    a = sp.csr_matrix(blk.A_block)
+    a.sort_indices()
     k = np.diagonal(blk.K_block)
-    # Q2 is purely imaginary; a contiguous Im Q2 keeps {Q1, Q2} a real gemm.
-    q2 = np.ascontiguousarray(charges.Q2.imag)
+    p = k / blk.abs_kappa  # exactly +-1
+    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
-    def exact_row(name, mat):
-        res = float(np.max(np.abs(mat)))
+    def shared(data):
+        return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+
+    q2 = shared(a.data * p[a.indices])
+    q_plus = shared((0.5 * (1.0 + p))[row_of] * a.data)
+    q_minus = shared((0.5 * (1.0 - p))[row_of] * a.data)
+
+    def exact_row(name, entries):
+        res = float(np.max(np.abs(entries), initial=0.0))
         rows.append(VerifyRow(name=name, norm_type=MAX_ELEMENT_EXACT,
                               residual=res, refinement_order=None,
                               passed=res == 0.0))
 
-    exact_row("a_symmetric", a - a.T)
-    exact_row("anticommutator_k_a", a * k + k[:, None] * a)
-    exact_row("q_plus_squared", charges.Q_plus @ charges.Q_plus)
-    exact_row("q_minus_squared", charges.Q_minus @ charges.Q_minus)
-    exact_row("anticommutator_q1_q2", charges.Q1 @ q2 + q2 @ charges.Q1)
-    exact_row("h_susy_equals_a_squared", charges.H_susy - a @ a)
+    # Sparse sums and products store each entry once, so the largest |data|
+    # is the largest entry of the whole matrix.
+    exact_row("a_symmetric", (a - a.T).data)
+    exact_row("anticommutator_k_a", a.data * k[a.indices] + k[row_of] * a.data)
+    exact_row("q_plus_squared", (q_plus @ q_plus).data)
+    exact_row("q_minus_squared", (q_minus @ q_minus).data)
+    exact_row("anticommutator_q1_q2", (a @ q2 + q2 @ a).data)
+    exact_row("h_susy_equals_a_squared",
+              (q_plus @ q_minus + q_minus @ q_plus - a @ a).data)
 
     ns, eq6_res, comm_res, kern_res = [], [], [], []
     diagnostics: dict = {"raw_norms": []} if include_raw else {}

@@ -305,6 +305,14 @@ def test_convergence_study_requires_increasing_grids():
         convergence_study(P3, SECTOR_P, grids)
 
 
+@pytest.mark.parametrize("family", [(400,), ()])
+def test_convergence_study_needs_two_grids(family):
+    # One grid gives no ratio and an order fitted to a single point.
+    grids = [default_grid(P3, SECTOR_P, n_points=n) for n in family]
+    with pytest.raises(ValueError, match="increasing n_points"):
+        convergence_study(P3, SECTOR_P, grids)
+
+
 def test_alternation_fraction_units():
     smooth = np.ones(50)
     ragged = np.cumprod(np.full(50, -1.0))

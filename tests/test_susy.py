@@ -1,12 +1,13 @@
 """Sector-swap operator A, supercharges, pairing, and kernel contracts.
 
 The structural identities are exact zeros by construction (sign-symmetric
-gemm summands), so tests assert residual == 0.0, not smallness.  The two
-analytic identities and the kernel annihilation are discretizations and are
-tested through refinement ratios instead.
+summands, summed in the same order), so tests assert residual == 0.0, not
+smallness.  The two analytic identities and the kernel annihilation are
+discretizations and are tested through refinement ratios instead.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,7 +126,9 @@ def test_alternate_assembly_rejects_disagreement(monkeypatch):
     true_alternate = susy.alternate_a_mp
     monkeypatch.setattr(
         susy, "alternate_a_mp",
-        lambda block, eta=None: true_alternate(block, eta) + np.eye(2 * block.n))
+        lambda params, abs_kappa, grid, eta:
+            true_alternate(params, abs_kappa, grid, eta)
+            + sp.identity(2 * grid.n_points, format="csr"))
     with pytest.raises(ConventionError):
         build_A(base, eta=1, check_alternate=True)
 
@@ -511,11 +514,14 @@ def test_sparse_kernel_study_matches_dense_reference(case):
         assert _rel(new, old) <= 1e-9
     assert _rel(report.rayleigh_quotient, rq) <= 1e-13
     # The alternate-assembly gap, (A_mp - alt) v before the port.
-    grid = default_grid(params, sector_pair(params, ak)[1], n_points=80)
-    block = build_susy_block(params, ak, grid=grid)
-    alt = susy.alternate_a_mp(block, 1)
+    plus_sector = sector_pair(params, ak)[1]
+    grid = default_grid(params, plus_sector, n_points=80)
+    plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
+    alt = susy.alternate_a_mp(params, ak, grid, 1)
+    assert sp.issparse(alt)
     v = susy._kernel_flat_vector(params, ak, grid)
-    old_gap = interior_norm((_dense_a_mp(block.plus, 1, ak) - alt) @ v, 80, 3)
+    old_gap = interior_norm((_dense_a_mp(plus, 1, ak) - alt.toarray()) @ v,
+                            80, 3)
     assert _rel(susy._alternate_gap(params, ak, grid, 1), old_gap) <= 1e-12
 
 
@@ -551,6 +557,50 @@ def test_sparse_ladder_sees_a_perturbed_assembly(monkeypatch, case):
     assert not by_name["a_squared_identity"].passed
     assert not by_name["commutator_h_a"].passed
     assert by_name["a_symmetric"].passed
+
+
+STRUCTURAL_ROWS = ("a_symmetric", "anticommutator_k_a", "q_plus_squared",
+                   "q_minus_squared", "anticommutator_q1_q2",
+                   "h_susy_equals_a_squared")
+
+
+def _structural_residuals(block):
+    rows = verify_A_squared(block, refinements=1, ensemble=1).rows
+    return {r.name: r.residual for r in rows if r.name in STRUCTURAL_ROWS}
+
+
+def test_structural_rows_exact_at_base_400():
+    block = build_A(build_susy_block(P3, 2.0, n_points=400))
+    assert _structural_residuals(block) == dict.fromkeys(STRUCTURAL_ROWS, 0.0)
+
+
+def _planted(block, i, j, value):
+    a = block.A_block.copy()
+    a[i, j] += value
+    return replace(block, A_block=a)
+
+
+# Negative controls for the structural pass: each planted defect breaks the
+# identities it violates in exact arithmetic, and no other.  A lone entry in
+# A_mp leaves A block off-diagonal, so only symmetry fails.  A diagonal entry
+# inside one sector block commutes with K instead of anticommuting, makes
+# that sector's charge square non-nilpotent, and so also breaks {Q1, Q2} = 0
+# and {Q+, Q-} = A^2; the other sector's charge does not see it.
+@pytest.mark.parametrize("where, broken", [
+    ("a_mp", {"a_symmetric"}),
+    ("minus", {"anticommutator_k_a", "q_minus_squared",
+               "anticommutator_q1_q2", "h_susy_equals_a_squared"}),
+    ("plus", {"anticommutator_k_a", "q_plus_squared",
+              "anticommutator_q1_q2", "h_susy_equals_a_squared"}),
+])
+def test_structural_rows_see_a_planted_defect(small_blocks, where, broken):
+    block = small_blocks[(3, 1.0)]
+    n2, i = 2 * block.n, block.n // 2
+    entry = {"a_mp": (i, n2 + i), "minus": (i, i),
+             "plus": (n2 + i, n2 + i)}[where]
+    residuals = _structural_residuals(_planted(block, *entry, 0.25))
+    assert {name for name, res in residuals.items() if res != 0.0} == broken
+    assert all(residuals[name] > 1e-3 for name in broken)
 
 
 @pytest.mark.parametrize("refinements", [0, -1])
