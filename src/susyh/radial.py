@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
 
 from . import analytic
 from .core import LOG_UNIFORM, UNIFORM, KappaSector, PhysParams, RadialGrid
-from .errors import ConvergenceError, SpuriousSpectrumError
+from .errors import ConvergenceError, GridError, SpuriousSpectrumError
 
 STANDARD = "standard"   # F on grid.nodes, G on grid.nodes_small
 SWAPPED = "swapped"     # F on grid.nodes_small, G on grid.nodes
@@ -245,6 +245,7 @@ def _interleaved_bands(op: RadialOperator) -> tuple:
         d[1::2] = d_g
         e[0::2] = np.diagonal(ur)
         e[1::2] = np.diagonal(ur, -1)
+    _check_offdiagonal(e, op.grid)
     return d, e
 
 
@@ -271,6 +272,22 @@ def _sector_vectors(
     return d_f, d_g, -lo, -up[:-1]
 
 
+def _check_offdiagonal(e: np.ndarray, grid: RadialGrid) -> None:
+    """Bisection (stebz) squares the off-diagonal; once max |e|^2 overflows
+    to inf it fails with LAPACK info=1.  Measured on the sector bands, every
+    max |e| up to sqrt(largest double) = 1.34e154 solves and every larger one
+    fails, so this is the boundary.  The largest entries sit at the inner
+    wall, where they scale like 1 / (step * r_min)."""
+    e_max = float(np.abs(e).max(initial=0.0))
+    if not math.isfinite(e_max * e_max):
+        raise GridError(
+            f"tridiagonal off-diagonal max |e| = {e_max:.3g} near the inner "
+            f"wall r_min = {grid.r_min:.3g} squares past the largest double, "
+            f"which bisection cannot handle; pass a larger wall_factor or use "
+            f"a smaller z_alpha"
+        )
+
+
 def _sector_bands(
     params: PhysParams,
     sector: KappaSector,
@@ -295,25 +312,128 @@ def _sector_bands(
         d[1::2] = d_g
     e[0::2] = e_same
     e[1::2] = e_next
+    _check_offdiagonal(e, grid)
     return d, e
 
 
-def _stacked_csr(n: int, bands) -> sp.csr_matrix:
-    """(2n, 2n) CSR matrix from diagonals of its four n x n blocks.
+def _shift(x: np.ndarray, k: int) -> np.ndarray:
+    """w[i] = x[i + k] along the first axis, zero where i + k falls outside."""
+    n = x.shape[0]
+    w = np.zeros(x.shape)
+    if k >= 0:
+        w[:max(n - k, 0)] = x[k:]
+    else:
+        w[min(-k, n):] = x[:max(n + k, 0)]
+    return w
 
-    Each band is (block_row, block_col, offset, values); values run along
-    that diagonal of the block, as in scipy.sparse.diags (offset 1 starts at
-    block entry (0, 1), offset -1 at (1, 0)).
+
+class Bands:
+    """Square n x n banded operator stored by diagonals.
+
+    bands maps an offset k to a row-indexed vector v of length n: v[i] is
+    the entry (i, i + k), and entries whose column falls outside the matrix
+    are held at zero.  The product loops over offset pairs in one fixed
+    order (ascending left offset, then ascending right offset), so two
+    products made of the same terms with opposite signs sum to exactly
+    zero.  Results share the vectors they leave unchanged, so treat them
+    as read-only.  _block_csr is the one conversion to scipy.sparse.
     """
-    rows, cols, data = [], [], []
-    for block_row, block_col, offset, values in bands:
-        i = np.arange(max(0, -offset), n - max(0, offset))
-        rows.append(block_row * n + i)
-        cols.append(block_col * n + i + offset)
-        data.append(values)
+
+    __slots__ = ("n", "bands")
+
+    def __init__(self, n: int, bands: dict):
+        self.n = n
+        self.bands = {}
+        for k, v in bands.items():
+            w = np.full(n, v, dtype=np.float64)
+            if k > 0:
+                w[max(n - k, 0):] = 0.0
+            elif k < 0:
+                w[:min(-k, n)] = 0.0
+            self.bands[k] = w
+
+    @classmethod
+    def _of(cls, n: int, bands: dict) -> Bands:
+        """Wrap vectors that already hold zeros outside the matrix: every
+        operation below keeps that, so its results skip the masking copy."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.bands = bands
+        return out
+
+    def __add__(self, other: Bands) -> Bands:
+        out = dict(self.bands)
+        for k, v in other.bands.items():
+            out[k] = out[k] + v if k in out else v
+        return Bands._of(self.n, out)
+
+    def __neg__(self) -> Bands:
+        return -1.0 * self
+
+    def __sub__(self, other: Bands) -> Bands:
+        return self + (-other)
+
+    def __mul__(self, scalar: float) -> Bands:
+        return Bands._of(self.n, {k: scalar * v for k, v in self.bands.items()})
+
+    __rmul__ = __mul__
+
+    def scale_rows(self, s: np.ndarray) -> Bands:
+        """diag(s) @ self: row i multiplied by s[i]."""
+        return Bands._of(self.n, {k: s * v for k, v in self.bands.items()})
+
+    @property
+    def T(self) -> Bands:
+        return Bands._of(self.n,
+                         {-k: _shift(v, -k) for k, v in self.bands.items()})
+
+    def __matmul__(self, other):
+        """Band product with another Bands, or matvec with an array of n
+        rows (a vector or a stack of columns)."""
+        if isinstance(other, Bands):
+            out = {}
+            for a in sorted(self.bands):
+                x = self.bands[a]
+                for b in sorted(other.bands):
+                    term = x * _shift(other.bands[b], a)
+                    out[a + b] = out[a + b] + term if a + b in out else term
+            return Bands._of(self.n, out)
+        x = np.asarray(other, dtype=np.float64)
+        y = np.zeros(x.shape)
+        for k in sorted(self.bands):
+            v = self.bands[k]
+            y += (v if x.ndim == 1 else v[:, None]) * _shift(x, k)
+        return y
+
+    def tocsr(self) -> sp.csr_matrix:
+        return _block_csr([[self]])
+
+
+def _block_csr(blocks) -> sp.csr_matrix:
+    """CSR matrix of a grid of equally sized Bands.
+
+    Every entry whose column lies inside its block is stored, explicit
+    zeros included, and the indices come out sorted.
+    """
+    n = blocks[0][0].n
+    # int32 indices, as scipy would choose them, spare it a conversion.
+    rows = np.arange(n, dtype=np.int32)[:, None]
+    data, indices, counts = [], [], []
+    for row in blocks:
+        # One slot per (block, offset), in ascending column order.
+        slots = [(j * n, k, b.bands[k]) for j, b in enumerate(row)
+                 for k in sorted(b.bands)]
+        start = np.array([s[0] for s in slots], dtype=np.int32)
+        col = rows + (start + np.array([s[1] for s in slots], dtype=np.int32))
+        inside = (col >= start) & (col < start + n)
+        data.append(np.stack([s[2] for s in slots], axis=1)[inside])
+        indices.append(col[inside])
+        counts.append(inside.sum(axis=1, dtype=np.int32))
+    indptr = np.zeros(len(blocks) * n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
     return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, 2 * n))
+        (np.concatenate(data), np.concatenate(indices), indptr),
+        shape=(len(blocks) * n, len(blocks[0]) * n))
 
 
 def _sector_csr(
@@ -327,13 +447,13 @@ def _sector_csr(
     Same entries as the bands of _sector_bands, so its dense form is the
     matrix of build_radial_hamiltonian; at most 3 nonzeros per row.
     """
+    n = grid.n_points
     d_f, d_g, e_same, e_next = _sector_vectors(params, sector, grid, layout)
-    step = 1 if layout == STANDARD else -1
-    return _stacked_csr(grid.n_points, [
-        (0, 0, 0, d_f), (1, 1, 0, d_g),
-        (0, 1, 0, e_same), (1, 0, 0, e_same),
-        (0, 1, step, e_next), (1, 0, -step, e_next),
-    ])
+    # e_next couples F_j to G_{j+1} (STANDARD) or G_j to F_{j+1} (SWAPPED).
+    step_up = Bands(n, {0: e_same, 1: np.append(e_next, 0.0)})
+    fg = step_up if layout == STANDARD else step_up.T  # F rows, G columns
+    return _block_csr([[Bands(n, {0: d_f}), fg],
+                       [fg.T, Bands(n, {0: d_g})]])
 
 
 def _alternation_fraction(u: np.ndarray) -> float:
@@ -404,10 +524,40 @@ def _window(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
     return _count_in(d, e, floor, lo), _count_in(d, e, lo, hi)
 
 
-def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
-    """Every eigenpair in the window, ascending."""
-    return _eigh(d, e, select="v", select_range=_window_bounds(m),
-                 tol=_FULL_PRECISION)
+def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float,
+                        count: int | None = None) -> tuple:
+    """The lowest `count` eigenpairs in the window (all when count is None),
+    ascending.
+
+    The whole window is bisected by value whatever count is, so the
+    eigenvalues are the same floats as the full-window solve, and inverse
+    iteration (stein) runs for the first count only; its vectors are then
+    those of the full solve too.  Bisecting only those levels by index
+    starts from another interval and moves them by an ulp, which the
+    roundoff mask of susy's refinement ladder amplifies to about 3e-5 in a
+    fitted order (D = 2, |kappa| = 1/2, n = 80).
+    """
+    lo, hi = _window_bounds(m)
+    if count is None:
+        return _eigh(d, e, select="v", select_range=(lo, hi),
+                     tol=_FULL_PRECISION)
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
+    size, w, iblock, isplit, info = stebz(d, e, 1, lo, hi, 0, 0,
+                                          _FULL_PRECISION, "B")
+    if info:
+        raise ConvergenceError(f"tridiagonal bisection failed: stebz info={info}")
+    # stein wants the chosen values grouped by split-off block, as stebz
+    # ordered them; the bands here never split, so this is the first count.
+    lowest = np.sort(np.argsort(w[:size], kind="stable")[:count])
+    if not lowest.size:
+        return w[:0], np.zeros((d.size, 0))
+    chosen = iblock.copy()
+    chosen[:lowest.size] = iblock[lowest]
+    vecs, info = stein(d, e, w[lowest], chosen, isplit)
+    if info:
+        raise ConvergenceError(f"inverse iteration failed: stein info={info}")
+    order = np.argsort(w[lowest], kind="stable")
+    return w[lowest][order], vecs[:, order]
 
 
 def _solve_banded(

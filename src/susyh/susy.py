@@ -26,10 +26,14 @@ The two analytic identities that are not structural, A^2 = 1 + ... and
 refinement.  The refinement ladder, the kernel study, the eta pinning and
 the alternate-assembly check act with O(n) CSR forms of A_mp and the sector
 Hamiltonians; their sums run in another order than dense products, which
-shifts reported refinement residuals by up to about 1e-5 relative.  Dense
-(4n)^2 arrays remain in SusyBlock (H_block, K_block, A_block) and in
-build_supercharges, which return them as public objects; verify reads
-A_block and the diagonal of K_block but forms no dense product.
+shifts reported refinement residuals by up to about 1e-5 relative.  Those
+operators are assembled as radial.Bands (offset -> row vector) and
+converted to CSR once; scipy.sparse is used where they act, for its
+sorted-index matvecs and products.  The band product loops over offset
+pairs in one fixed order, so sign-symmetric sums built from it would cancel
+exactly too.  Dense (4n)^2 arrays remain in SusyBlock (H_block, K_block,
+A_block) and in build_supercharges, which return them as public objects;
+verify reads A_block and the diagonal of K_block but forms no dense product.
 
 Two independent A assemblies are kept: the primary one from the defining
 form A = eta * interp - (kappa / (Z alpha m)) J (H - m gamma^0), and an
@@ -179,34 +183,19 @@ def _assemble_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
     is diagonal or bidiagonal, so A_mp has at most 3 nonzeros per row.
     """
     _, plus_sector = sector_pair(params, abs_kappa)
+    n = grid.n_points
     d_f, d_g, cross_same, cross_next = radial._sector_vectors(
         params, plus_sector, grid, radial.STANDARD)
     c = abs_kappa / (params.z_alpha * params.m)
     v_int = d_f - params.m
     v_half = d_g + params.m
-    # Av carries 0.5 on its diagonal and subdiagonal; the plus cross block
-    # carries cross_same on its diagonal and cross_next on its superdiagonal.
-    return radial._stacked_csr(grid.n_points, [
-        (0, 0, 0, eta * 0.5 - c * cross_same),
-        (0, 0, -1, eta * 0.5 - c * cross_next),
-        (1, 1, 0, eta * 0.5 + c * cross_same),
-        (1, 1, 1, eta * 0.5 + c * cross_next),
-        (0, 1, 0, -c * v_half),
-        (1, 0, 0, c * v_int),
+    av = radial.Bands(n, {0: 0.5, -1: 0.5})
+    # The plus cross block: cross_same on its diagonal, cross_next above.
+    cross = radial.Bands(n, {0: cross_same, 1: np.append(cross_next, 0.0)})
+    return radial._block_csr([
+        [eta * av - c * cross.T, radial.Bands(n, {0: -c * v_half})],
+        [radial.Bands(n, {0: c * v_int}), eta * av.T + c * cross],
     ])
-
-
-def _sparse_bidiag(main: np.ndarray, sub: np.ndarray | None = None,
-                   sup: np.ndarray | None = None) -> sp.spmatrix:
-    n = main.size
-    diags, offsets = [main], [0]
-    if sub is not None:
-        diags.append(sub)
-        offsets.append(-1)
-    if sup is not None:
-        diags.append(sup)
-        offsets.append(1)
-    return sp.diags(diags, offsets, shape=(n, n), format="csr")
 
 
 def alternate_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
@@ -225,18 +214,26 @@ def alternate_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
     (average insertions restore node parity for even derivative counts), and
     then conjugated into the transformed representation.  Wall rows are not
     stencil-complete; compare on interior rows.
+
+    The pieces are radial.Bands (offset -> row vector), composed with its
+    fixed-order band product; scipy.sparse enters only at the end, in the
+    one conversion of the four n x n blocks to CSR.
     """
     n = grid.n_points
     ak = abs_kappa
     nu = (params.D - 1) / 2
     r_i = grid.nodes
     r_h = grid.nodes_small
+
+    def di(v):
+        return radial.Bands(n, {0: v})
+
     # Two-point physical primitives between the staggered node sets.
     gap_ih = np.empty(n)
     gap_ih[0] = r_i[0] - grid.r_min
     gap_ih[1:] = np.diff(r_i)
     inv = 1.0 / gap_ih
-    d_ih = _sparse_bidiag(inv, sub=-inv[1:])
+    d_ih = radial.Bands(n, {0: inv, -1: -inv})
     if grid.scheme == LOG_UNIFORM:
         r_h_top = r_h[-1] ** 2 / r_h[-2]
     else:
@@ -245,38 +242,35 @@ def alternate_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
     gap_hi[:-1] = np.diff(r_h)
     gap_hi[-1] = r_h_top - r_h[-1]
     inv = 1.0 / gap_hi
-    d_hi = _sparse_bidiag(-inv, sup=inv[:-1])
-    half = np.full(n, 0.5)
-    avg_ih = _sparse_bidiag(half, sub=half[1:])
-    avg_hi = _sparse_bidiag(half, sup=half[:-1])
-    di = sp.diags
+    d_hi = radial.Bands(n, {0: -inv, 1: inv})
+    avg_ih = radial.Bands(n, {0: 0.5, -1: 0.5})
+    avg_hi = radial.Bands(n, {0: 0.5, 1: 0.5})
 
     def w_blocks(kappa, d_fwd, d_bwd, avg_fwd, avg_bwd, r_src, r_dst):
         # int->half for the upper-left block, half->int for the lower-right;
         # d_fwd/avg_fwd map source to destination rows, d_bwd/avg_bwd back.
-        xi_fwd = di(1.0 / r_dst) @ avg_fwd
+        xi_fwd = avg_fwd.scale_rows(1.0 / r_dst)
         d2_src = d_bwd @ d_fwd
-        term1 = 2.0 * di(r_dst) @ avg_fwd @ (-d2_src
-                                             + kappa * (kappa - 1.0) * di(1.0 / r_src**2))
+        term1 = avg_fwd.scale_rows(2.0 * r_dst) @ (
+            -d2_src + kappa * (kappa - 1.0) * di(1.0 / r_src**2))
         inner = d_fwd - kappa * xi_fwd
-        outer = di(r_src) @ d_bwd - nu * avg_bwd
+        outer = d_bwd.scale_rows(r_src) - nu * avg_bwd
         term2 = 2.0 * avg_fwd @ (outer @ inner)
         term3 = 2.0 * nu * inner
         return term1 + term2 + term3
 
     scale = 1.0 / (2.0 * params.z_alpha * params.m)
-    ul = (eta * (avg_ih - scale * w_blocks(ak, d_ih, d_hi, avg_ih, avg_hi,
-                                           r_i, r_h))).tocsr()
-    lr = (eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih,
-                                           r_h, r_i))).tocsr()
+    ul = eta * (avg_ih - scale * w_blocks(ak, d_ih, d_hi, avg_ih, avg_hi,
+                                          r_i, r_h))
+    lr = eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih,
+                                          r_h, r_i))
     if grid.scheme == LOG_UNIFORM:
         s_i = np.sqrt(r_i)
         s_h = np.sqrt(r_h)
-        for blk, s_row, s_col in ((ul, s_h, s_i), (lr, s_i, s_h)):
-            rows = np.repeat(np.arange(n), np.diff(blk.indptr))
-            blk.data = (s_row[rows] * blk.data) / s_col[blk.indices]
-    return sp.bmat([[ul, di(ak / (params.m * r_h))],
-                    [di(-ak / (params.m * r_i)), lr]], format="csr")
+        ul = ul.scale_rows(s_h) @ di(1.0 / s_i)
+        lr = lr.scale_rows(s_i) @ di(1.0 / s_h)
+    return radial._block_csr([[ul, di(ak / (params.m * r_h))],
+                              [di(-ak / (params.m * r_i)), lr]])
 
 
 def _kernel_flat_vector(params: PhysParams, abs_kappa: float,
@@ -316,8 +310,14 @@ def _pin_eta(params: PhysParams, abs_kappa: float, grid: RadialGrid) -> int:
                         _kernel_residual(params, abs_kappa, fine, cand))
     converging = [cand for cand, (c, f) in scores.items() if f < c / 2.0]
     if len(converging) != 1:
+        detail = "; ".join(f"eta = {cand:+d}: {c:.4g} -> {f:.4g}"
+                           for cand, (c, f) in scores.items())
         raise ConventionError(
-            f"kernel contract pins no unique sign: residuals {scores}"
+            f"kernel contract pins no unique sign: exactly one eta must at "
+            f"least halve the zero-mode residual from n_points = "
+            f"{grid.n_points} to {fine.n_points}, got {detail}; use more "
+            f"--grid-points, or force eta = +1 or -1 in the API (build_A, "
+            f"kernel_annihilation_report)"
         )
     return converging[0]
 
@@ -443,8 +443,7 @@ def _bound_columns(params: PhysParams, sector: KappaSector, grid: RadialGrid,
     """Lowest bound eigencolumns of the sector in the STANDARD layout, as
     stacked (F, G) solver-coordinate vectors."""
     bands = radial._sector_bands(params, sector, grid, radial.STANDARD)
-    vals, vecs = radial._bound_window_solve(*bands, params.m)
-    cols = vecs[:, :count]
+    _, cols = radial._bound_window_solve(*bands, params.m, count)
     # Position order G_1, F_1, G_2, F_2, ...
     return np.vstack([cols[1::2], cols[0::2]])
 

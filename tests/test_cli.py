@@ -234,11 +234,25 @@ def test_thread_cap_validation(capsys, monkeypatch):
     (["spectrum", "--D", "2", "--zalpha", "0.49999"], "underflowed"),
     (["kernel", "--D", "3", "--grid-points", "200,200"],
      "increasing n_points"),
+    (["spectrum", "--D", "2", "--zalpha", "0.4999"], "wall_factor"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert needle in err
+
+
+def test_convention_error_names_the_knobs(capsys):
+    # At s = 0.141 both signs' zero-mode residuals shrink at the same rate,
+    # so eta pinning cannot decide; the message shows each candidate's
+    # coarse -> fine residual and what to change.
+    rc, out, err = run(capsys, ["verify", "--D", "3", "--zalpha", "0.99"])
+    assert rc == 2 and out == ""
+    assert "from n_points = 200 to 400" in err
+    assert "eta = +1: 1.162e+04 -> 3247" in err
+    assert "eta = -1: 1.162e+04 -> 3247" in err
+    assert "--grid-points" in err and "force eta" in err
+    assert "{" not in err
 
 
 def test_argparse_errors_map_to_usage_exit(capsys):

@@ -446,3 +446,112 @@ def test_tiny_stability_tol_rejects_everything(tol):
         with pytest.raises(SpuriousSpectrumError, match="persisted"):
             solve(P3, SECTOR_P, grid, layout=STANDARD, count=3,
                   stability_tol=tol)
+
+
+# --- The band operator type: every operation against its dense form. ---
+
+def _random_bands(rng, n, offsets):
+    return radial.Bands(n, {k: rng.standard_normal(n) for k in offsets})
+
+
+def _dense(bands):
+    return bands.tocsr().toarray()
+
+
+# Offsets past the edge (|k| >= n) hold no entries at all; the rest lose
+# the rows whose column falls outside.
+BAND_OFFSETS = [(-1, 0, 1), (-3, 2), (-8, -1, 4, 7), (0,), (5, -5, 1)]
+
+
+@pytest.mark.parametrize("offsets", BAND_OFFSETS)
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_bands_match_dense(offsets, n):
+    rng = np.random.default_rng(sum(offsets) + 10 * n)
+    x = _random_bands(rng, n, offsets)
+    y = _random_bands(rng, n, (-2, 0, 1, 6))
+    dx, dy = _dense(x), _dense(y)
+    for k, v in x.bands.items():
+        rows = np.arange(max(0, -k), n - max(0, k))
+        assert np.array_equal(v[rows], dx[rows, rows + k])
+        assert not np.delete(v, rows).any()
+    assert np.allclose(_dense(x @ y), dx @ dy, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(_dense(x.T), dx.T)
+    assert np.array_equal(_dense(x + y), dx + dy)
+    assert np.array_equal(_dense(x - y), dx - dy)
+    assert np.array_equal(_dense(-x), -dx)
+    assert np.array_equal(_dense(2.5 * x), 2.5 * dx)
+    s = rng.standard_normal(n)
+    assert np.array_equal(_dense(x.scale_rows(s)), s[:, None] * dx)
+    v = rng.standard_normal(n)
+    assert np.allclose(x @ v, dx @ v, rtol=1e-14, atol=1e-14)
+    cols = rng.standard_normal((n, 3))
+    assert np.allclose(x @ cols, dx @ cols, rtol=1e-14, atol=1e-14)
+
+
+def test_bands_product_of_diagonals_is_exact():
+    # One term per entry: a product with a diagonal is a plain scaling.
+    rng = np.random.default_rng(7)
+    x = _random_bands(rng, 9, (-2, 0, 3))
+    s = rng.standard_normal(9)
+    diag = radial.Bands(9, {0: s})
+    assert np.array_equal(_dense(diag @ x), s[:, None] * _dense(x))
+    assert np.array_equal(_dense(x @ diag), _dense(x) * s)
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_bands_sign_symmetric_pair_sums_to_zero(n):
+    # p = +-1 alternating anticommutes with odd-offset operators, so
+    # X (Y p) and (X p) Y are made of the same floating-point products with
+    # opposite signs; summed over offset pairs in one fixed order they
+    # cancel exactly, offsets running off the edge included.
+    rng = np.random.default_rng(n)
+    x = _random_bands(rng, n, (-3, -1, 1, 5))
+    y = _random_bands(rng, n, (-1, 1, 3, n + 1))
+    p = radial.Bands(n, {0: np.where(np.arange(n) % 2, -1.0, 1.0)})
+    total = x @ (y @ p) + (x @ p) @ y
+    assert max(np.max(np.abs(v)) for v in total.bands.values()) == 0.0
+    assert np.max(np.abs(_dense(x @ (y @ p)))) > 0.0
+
+
+def test_block_csr_layout():
+    rng = np.random.default_rng(3)
+    ul = _random_bands(rng, 4, (-1, 0, 2))
+    lr = _random_bands(rng, 4, (0, 1))
+    ur = radial.Bands(4, {0: rng.standard_normal(4)})
+    ll = _random_bands(rng, 4, (-2, 1, 5))
+    csr = radial._block_csr([[ul, ur], [ll, lr]])
+    assert csr.shape == (8, 8) and csr.has_sorted_indices
+    ref = np.zeros((8, 8))
+    ref[:4, :4], ref[:4, 4:] = _dense(ul), _dense(ur)
+    ref[4:, :4], ref[4:, 4:] = _dense(ll), _dense(lr)
+    assert np.array_equal(csr.toarray(), ref)
+
+
+# --- Bisection overflow: stebz squares the off-diagonal. ---
+
+def test_offdiagonal_overflow_boundary_is_typed():
+    grid = default_grid(P3, SECTOR_P, n_points=20)
+    edge = math.sqrt(np.finfo(np.float64).max)
+    radial._check_offdiagonal(np.array([1.0, -edge]), grid)
+    with pytest.raises(GridError, match="wall_factor.*z_alpha"):
+        radial._check_offdiagonal(np.array([1.0, -np.nextafter(edge, np.inf)]),
+                                  grid)
+
+
+def test_near_critical_wall_overflow_is_typed():
+    # D = 2, Z alpha = 0.4999: the default wall 10^(-3/s) sits at 1e-300,
+    # where max |e| reaches 4.9e299.  A wall at 1e-152 (max |e| 1.5e152)
+    # still solves; one at 1e-154 (1.4e154) is past the boundary.
+    p = PhysParams(D=2, z_alpha=0.4999)
+    sector = kappa_of(p, 0, 1)
+    with pytest.raises(GridError, match="wall_factor.*z_alpha"):
+        solve_bound_levels(p, sector, default_grid(p, sector))
+    grid = default_grid(p, sector, n_points=800, wall_factor=1e-152)
+    assert np.abs(radial._sector_bands(p, sector, grid, STANDARD)[1]).max() \
+        < 1e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert solve_bound_levels(p, sector, grid, count=1)
+    grid = default_grid(p, sector, n_points=800, wall_factor=1e-154)
+    with pytest.raises(GridError, match="wall_factor"):
+        radial._sector_bands(p, sector, grid, STANDARD)

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from susyh import radial, susy
 from susyh.core import PhysParams, default_grid
@@ -613,3 +614,118 @@ def test_verify_needs_a_refinement(small_blocks, refinements):
 def test_kernel_report_rejects_degenerate_family(family):
     with pytest.raises(ValueError, match="increasing n_points"):
         kernel_annihilation_report(P3, 1.0, n_points=family)
+
+
+# --- Reference: the scipy.sparse composition of alternate_a_mp that the
+# band-vector assembly replaced, kept to pin the port. ---------------------
+
+def _sparse_bidiag(main, sub=None, sup=None):
+    diags, offsets = [main], [0]
+    if sub is not None:
+        diags.append(sub)
+        offsets.append(-1)
+    if sup is not None:
+        diags.append(sup)
+        offsets.append(1)
+    return sp.diags(diags, offsets, shape=(main.size, main.size),
+                    format="csr")
+
+
+def _scipy_alternate_a_mp(params, abs_kappa, grid, eta):
+    n = grid.n_points
+    ak = abs_kappa
+    nu = (params.D - 1) / 2
+    r_i = grid.nodes
+    r_h = grid.nodes_small
+    gap_ih = np.empty(n)
+    gap_ih[0] = r_i[0] - grid.r_min
+    gap_ih[1:] = np.diff(r_i)
+    inv = 1.0 / gap_ih
+    d_ih = _sparse_bidiag(inv, sub=-inv[1:])
+    if grid.scheme == susy.LOG_UNIFORM:
+        r_h_top = r_h[-1] ** 2 / r_h[-2]
+    else:
+        r_h_top = 2 * r_h[-1] - r_h[-2]
+    gap_hi = np.empty(n)
+    gap_hi[:-1] = np.diff(r_h)
+    gap_hi[-1] = r_h_top - r_h[-1]
+    inv = 1.0 / gap_hi
+    d_hi = _sparse_bidiag(-inv, sup=inv[:-1])
+    half = np.full(n, 0.5)
+    avg_ih = _sparse_bidiag(half, sub=half[1:])
+    avg_hi = _sparse_bidiag(half, sup=half[:-1])
+    di = sp.diags
+
+    def w_blocks(kappa, d_fwd, d_bwd, avg_fwd, avg_bwd, r_src, r_dst):
+        xi_fwd = di(1.0 / r_dst) @ avg_fwd
+        d2_src = d_bwd @ d_fwd
+        term1 = 2.0 * di(r_dst) @ avg_fwd @ (
+            -d2_src + kappa * (kappa - 1.0) * di(1.0 / r_src**2))
+        inner = d_fwd - kappa * xi_fwd
+        outer = di(r_src) @ d_bwd - nu * avg_bwd
+        term2 = 2.0 * avg_fwd @ (outer @ inner)
+        term3 = 2.0 * nu * inner
+        return term1 + term2 + term3
+
+    scale = 1.0 / (2.0 * params.z_alpha * params.m)
+    ul = (eta * (avg_ih - scale * w_blocks(ak, d_ih, d_hi, avg_ih, avg_hi,
+                                           r_i, r_h))).tocsr()
+    lr = (eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih,
+                                           r_h, r_i))).tocsr()
+    if grid.scheme == susy.LOG_UNIFORM:
+        s_i = np.sqrt(r_i)
+        s_h = np.sqrt(r_h)
+        for blk, s_row, s_col in ((ul, s_h, s_i), (lr, s_i, s_h)):
+            rows = np.repeat(np.arange(n), np.diff(blk.indptr))
+            blk.data = (s_row[rows] * blk.data) / s_col[blk.indices]
+    return sp.bmat([[ul, di(ak / (params.m * r_h))],
+                    [di(-ak / (params.m * r_i)), lr]], format="csr")
+
+
+# Fixed before the comparison: entrywise relative agreement, and exact
+# zeros where the reference has them.
+ALTERNATE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_alternate_assembly_matches_scipy_composition(case):
+    D, ak = case
+    params = _params(D)
+    _, plus_sector = sector_pair(params, ak)
+    for scheme in (susy.LOG_UNIFORM, susy.UNIFORM):
+        grid = default_grid(params, plus_sector, n_points=70, scheme=scheme)
+        for eta in (1, -1):
+            alt = susy.alternate_a_mp(params, ak, grid, eta)
+            assert sp.issparse(alt) and alt.format == "csr"
+            got = alt.toarray()
+            ref = _scipy_alternate_a_mp(params, ak, grid, eta).toarray()
+            assert np.all(np.abs(got - ref) <= ALTERNATE_RTOL * np.abs(ref))
+
+
+# --- _bound_columns takes only the levels it uses from the window. ---
+
+def _full_window_columns(params, sector, grid):
+    d, e = radial._sector_bands(params, sector, grid, radial.STANDARD)
+    tiny = 1e-12 * params.m
+    _, vecs = eigh_tridiagonal(d, e, select="v", lapack_driver="stebz",
+                               select_range=(tiny, params.m - tiny),
+                               tol=2.0 * np.finfo(np.float64).tiny)
+    return np.vstack([vecs[1::2], vecs[0::2]])
+
+
+@pytest.mark.parametrize("case", [(2, 0.5), (3, 1.0), (5, 3.0)])
+def test_bound_columns_match_full_window(case):
+    D, ak = case
+    params = _params(D)
+    _, plus_sector = sector_pair(params, ak)
+    grid = default_grid(params, plus_sector, n_points=80)
+    full = _full_window_columns(params, plus_sector, grid)
+    window = full.shape[1]
+    assert window >= 4
+    for count in (1, 4, window + 3):
+        cols = susy._bound_columns(params, plus_sector, grid, count)
+        take = min(count, window)
+        assert cols.shape == (2 * grid.n_points, take)
+        for got, ref in zip(cols.T, full[:, :take].T):
+            assert min(np.max(np.abs(got - ref)),
+                       np.max(np.abs(got + ref))) <= 1e-12
