@@ -50,8 +50,6 @@ from .radial import (
     Eigenpair,
     RadialOperator,
     build_radial_hamiltonian,
-    build_radial_operator,
-    compose_operators,
     convergence_study,
     solve_bound_levels,
     solve_spectrum,
@@ -68,7 +66,6 @@ from .susy import (
     build_susy_block,
     kernel_annihilation_report,
     sector_pair,
-    spectral_pairing,
     spectral_pairing_at,
     verify_A_squared,
 )
@@ -95,12 +92,11 @@ __all__ = [
     "enumerate_levels", "ground_energy", "interdimensional_check",
     "kernel_wavefunction", "level_scheme_export", "nonrel_limit_check",
     "Eigenpair", "RadialOperator", "build_radial_hamiltonian",
-    "build_radial_operator", "compose_operators", "convergence_study",
-    "solve_bound_levels", "solve_spectrum",
+    "convergence_study", "solve_bound_levels", "solve_spectrum",
     "KernelReport", "PairingReport", "SusyBlock", "SusyCharges",
     "SusyVerification", "alternate_a_mp", "build_A", "build_supercharges",
     "build_susy_block", "kernel_annihilation_report", "sector_pair",
-    "spectral_pairing", "spectral_pairing_at", "verify_A_squared",
+    "spectral_pairing_at", "verify_A_squared",
     "ConvergenceError", "ConventionError", "GridError", "InvalidLabelError",
     "NormalizationError", "PairingError", "SpuriousSpectrumError",
     "SubcriticalError", "SusyhError",

@@ -30,7 +30,8 @@ class SpuriousSpectrumError(SusyhError):
 
 
 class ConventionError(SusyhError):
-    """No sign convention satisfies the defining contract of an operator."""
+    """Two independent assemblies of an operator do not converge to each
+    other under refinement."""
 
 
 class PairingError(SusyhError):

@@ -37,12 +37,6 @@ from .errors import ConvergenceError, GridError, SpuriousSpectrumError
 STANDARD = "standard"   # F on grid.nodes, G on grid.nodes_small
 SWAPPED = "swapped"     # F on grid.nodes_small, G on grid.nodes
 
-HAMILTONIAN = "hamiltonian"
-IDENTITY = "identity"
-POTENTIAL = "potential"
-DERIVATIVE = "derivative"
-COMPOSITE = "composite"
-
 
 class TruncationWarning(UserWarning):
     """Fewer bound levels resolvable than requested."""
@@ -50,19 +44,19 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RadialOperator:
-    """Dense symmetric operator on the stacked doublet (F block, then G).
+    """A sector Hamiltonian as a dense symmetric matrix on the stacked
+    doublet (F block, then G).
 
     matrix is real, shape (2n, 2n), with the F block first regardless of
-    layout; layout records which staggered node set F occupies.  For
-    hamiltonian kind the matrix is tridiagonal after interleaving by node
-    position, which solve_spectrum exploits.
+    layout; layout records which staggered node set F occupies.  The matrix
+    is tridiagonal after interleaving by node position; solve_spectrum
+    solves it from bands rebuilt out of params, sector, grid and layout.
     """
 
     params: PhysParams
     sector: KappaSector
     grid: RadialGrid
     matrix: np.ndarray
-    kind: str
     layout: str = STANDARD
 
     def __post_init__(self):
@@ -125,18 +119,6 @@ def _cross_vectors(grid: RadialGrid, kappa: float) -> tuple:
     return lo, up
 
 
-def _cross_block(grid: RadialGrid, kappa: float) -> np.ndarray:
-    """Dense matrix of the _cross_vectors stencil; the sample above r_max
-    is dropped (Dirichlet)."""
-    n = grid.n_points
-    lo, up = _cross_vectors(grid, kappa)
-    c = np.zeros((n, n))
-    idx = np.arange(n)
-    c[idx, idx] = lo
-    c[idx[:-1], idx[:-1] + 1] = up[:-1]
-    return c
-
-
 def _diag_potential(params: PhysParams, r: np.ndarray) -> np.ndarray:
     return -params.z_alpha / r
 
@@ -158,57 +140,7 @@ def build_radial_hamiltonian(
     return RadialOperator(params=params, sector=sector, grid=grid,
                           matrix=_sector_csr(params, sector, grid,
                                              layout).toarray(),
-                          kind=HAMILTONIAN, layout=layout)
-
-
-def build_radial_operator(
-    params: PhysParams,
-    sector: KappaSector,
-    grid: RadialGrid,
-    kind: str,
-    layout: str = STANDARD,
-) -> RadialOperator:
-    """Assemble one of the primitive operators on the doublet.
-
-    identity and potential are diagonal; derivative is the antisymmetric
-    pure-d/dr coupling between the components (the kappa/r-free part of the
-    Hamiltonian cross block).  Composites are built with compose_operators.
-    """
-    n = grid.n_points
-    std = layout == STANDARD
-    r_f = grid.nodes if std else grid.nodes_small
-    r_g = grid.nodes_small if std else grid.nodes
-    mat = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    if kind == IDENTITY:
-        mat[idx, idx] = 1.0
-        mat[n + idx, n + idx] = 1.0
-    elif kind == POTENTIAL:
-        mat[idx, idx] = _diag_potential(params, r_f)
-        mat[n + idx, n + idx] = _diag_potential(params, r_g)
-    elif kind == DERIVATIVE:
-        d = _cross_block(grid, 0.0) if std else -_cross_block(grid, 0.0).T
-        mat[:n, n:] = d
-        mat[n:, :n] = -d.T
-    else:
-        raise ValueError(f"kind must be one of {IDENTITY!r}, {POTENTIAL!r}, "
-                         f"{DERIVATIVE!r}, got {kind!r}")
-    return RadialOperator(params=params, sector=sector, grid=grid,
-                          matrix=mat, kind=kind, layout=layout)
-
-
-def compose_operators(coeffs, ops) -> RadialOperator:
-    """Linear combination sum(c * op) as a composite RadialOperator."""
-    ops = list(ops)
-    first = ops[0]
-    if any(o.grid is not first.grid or o.layout != first.layout for o in ops[1:]):
-        raise ValueError("operators must share one grid and layout")
-    mat = np.zeros_like(first.matrix)
-    for c, o in zip(coeffs, ops):
-        mat = mat + c * o.matrix
-    return RadialOperator(params=first.params, sector=first.sector,
-                          grid=first.grid, matrix=mat, kind=COMPOSITE,
-                          layout=first.layout)
+                          layout=layout)
 
 
 @dataclass(frozen=True)
@@ -222,31 +154,6 @@ class Eigenpair:
     energy: float
     doublet: tuple
     norm_weight_small: float
-
-
-def _interleaved_bands(op: RadialOperator) -> tuple:
-    """Diagonal and off-diagonal of the position-ordered tridiagonal form."""
-    n = op.grid.n_points
-    m = op.matrix
-    d_f = np.diagonal(m[:n, :n])
-    d_g = np.diagonal(m[n:, n:])
-    ur = m[:n, n:]
-    d = np.empty(2 * n)
-    e = np.empty(2 * n - 1)
-    if op.layout == STANDARD:
-        # Position order G_1, F_1, G_2, F_2, ...
-        d[0::2] = d_g
-        d[1::2] = d_f
-        e[0::2] = np.diagonal(ur)
-        e[1::2] = np.diagonal(ur, 1)
-    else:
-        # Position order F_1, G_1, F_2, G_2, ...
-        d[0::2] = d_f
-        d[1::2] = d_g
-        e[0::2] = np.diagonal(ur)
-        e[1::2] = np.diagonal(ur, -1)
-    _check_offdiagonal(e, op.grid)
-    return d, e
 
 
 def _sector_vectors(
@@ -294,9 +201,9 @@ def _sector_bands(
     grid: RadialGrid,
     layout: str,
 ) -> tuple:
-    """Tridiagonal bands of the sector Hamiltonian, built without the dense
-    matrix.  Bitwise equal to _interleaved_bands(build_radial_hamiltonian());
-    this is the O(n)-memory path for large grids.
+    """Tridiagonal bands of the sector Hamiltonian in position order, built
+    without the dense matrix: the same floats as the matrix of
+    build_radial_hamiltonian, in O(n) memory.
     """
     n = grid.n_points
     d_f, d_g, e_same, e_next = _sector_vectors(params, sector, grid, layout)
@@ -497,6 +404,21 @@ def _eigh(d: np.ndarray, e: np.ndarray, **kwargs):
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
+def _check_vectors(vecs: np.ndarray, e: np.ndarray) -> None:
+    """Raise GridError when the solver returned non-finite eigenvectors.
+
+    Just inside the bisection overflow boundary (see _check_offdiagonal)
+    stebz still returns eigenvalues, but inverse iteration returns NaN
+    vectors and the eigenvalues are off by up to 15% (D = 2, Z alpha =
+    0.4996, default wall 9.3e-151)."""
+    if not np.isfinite(vecs).all():
+        raise GridError(
+            f"the tridiagonal eigensolver returned non-finite eigenvectors "
+            f"(off-diagonal max |e| = {np.abs(e).max():.3g} near the inner "
+            f"wall); pass a larger wall_factor or use a smaller z_alpha"
+        )
+
+
 def _window_bounds(m: float) -> tuple:
     """The bound window (tiny, m - tiny] as its (lower, upper) ends."""
     tiny = 1e-12 * m
@@ -539,8 +461,10 @@ def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float,
     """
     lo, hi = _window_bounds(m)
     if count is None:
-        return _eigh(d, e, select="v", select_range=(lo, hi),
-                     tol=_FULL_PRECISION)
+        vals, vecs = _eigh(d, e, select="v", select_range=(lo, hi),
+                           tol=_FULL_PRECISION)
+        _check_vectors(vecs, e)
+        return vals, vecs
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
     size, w, iblock, isplit, info = stebz(d, e, 1, lo, hi, 0, 0,
                                           _FULL_PRECISION, "B")
@@ -556,21 +480,40 @@ def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float,
     vecs, info = stein(d, e, w[lowest], chosen, isplit)
     if info:
         raise ConvergenceError(f"inverse iteration failed: stein info={info}")
+    _check_vectors(vecs, e)
     order = np.argsort(w[lowest], kind="stable")
     return w[lowest][order], vecs[:, order]
 
 
-def _solve_banded(
+def solve_bound_levels(
     params: PhysParams,
     sector: KappaSector,
     grid: RadialGrid,
-    layout: str,
-    bands: tuple,
-    count: int,
-    spurious_threshold: float,
-    stability_check: bool,
-    stability_tol: float,
+    layout: str = STANDARD,
+    count: int = 4,
+    spurious_threshold: float = 0.5,
+    stability_check: bool = True,
+    stability_tol: float = 0.02,
 ) -> list:
+    """Bound levels of a sector Hamiltonian, ascending, as Eigenpairs.
+
+    The tridiagonal bands are assembled straight from the grid, so memory
+    stays O(n).  Eigenvalues are taken in the open window (0, m).  Sturm
+    counts size the window, and only the lowest levels needed are bisected
+    and inverted, taken in order until count of them pass the checks or the
+    window runs out.  Each candidate must pass a node-alternation filter on
+    both components (a rapidly sign-alternating vector is a discretization
+    artifact, not a bound state) and, when stability_check is set, must
+    persist within stability_tol * m under one grid doubling: a Sturm count
+    on the doubled grid's bands must find a window eigenvalue within
+    stability_tol * m of it, so no doubled-grid eigenpairs are computed.
+    The result is the first count levels of the whole window that pass.
+    Raises SpuriousSpectrumError if filtering rejects every candidate,
+    ConvergenceError on solver failure, GridError when the bands are too
+    large for the solver (near-critical walls); emits TruncationWarning
+    when fewer than count levels survive.
+    """
+    bands = _sector_bands(params, sector, grid, layout)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     m = params.m
@@ -594,6 +537,7 @@ def _solve_banded(
         take = min(want - len(kept), size - done)
         vals, vecs = _eigh(*bands, select="i", tol=_FULL_PRECISION,
                            select_range=(first + done, first + done + take - 1))
+        _check_vectors(vecs, bands[1])
         done += take
         for j, val in enumerate(vals):
             f, g = _split_doublet(layout, grid, vecs[:, j])
@@ -641,50 +585,11 @@ def solve_spectrum(
     stability_check: bool = True,
     stability_tol: float = 0.02,
 ) -> list:
-    """Bound levels of a sector Hamiltonian, ascending, as Eigenpairs.
-
-    Eigenvalues are taken in the open window (0, m).  Sturm counts size the
-    window, and only the lowest levels needed are bisected and inverted,
-    taken in order until count of them pass the checks or the window runs
-    out.  Each candidate must pass a node-alternation filter on both
-    components (a rapidly sign-alternating vector is a discretization
-    artifact, not a bound state) and, when stability_check is set, must
-    persist within stability_tol * m under one grid doubling: a Sturm count
-    on the doubled grid's bands must find a window eigenvalue within
-    stability_tol * m of it.  The result is the first count levels of the
-    whole window that pass.  Raises SpuriousSpectrumError if filtering
-    rejects every candidate, ConvergenceError on solver failure; emits
-    TruncationWarning when fewer than count levels survive.
-    """
-    if op.kind != HAMILTONIAN:
-        raise ValueError(f"solve_spectrum needs a hamiltonian operator, got {op.kind!r}")
-    return _solve_banded(op.params, op.sector, op.grid, op.layout,
-                         _interleaved_bands(op), count, spurious_threshold,
-                         stability_check, stability_tol)
-
-
-def solve_bound_levels(
-    params: PhysParams,
-    sector: KappaSector,
-    grid: RadialGrid,
-    layout: str = STANDARD,
-    count: int = 4,
-    spurious_threshold: float = 0.5,
-    stability_check: bool = True,
-    stability_tol: float = 0.02,
-) -> list:
-    """solve_spectrum without the dense matrix: bands are assembled straight
-    from the grid, so memory stays O(n).  Identical results to solving the
-    built operator, since the band entries are the same floats.
-
-    As there, only the requested levels are bisected, and the stability
-    check is a Sturm interval count on the doubled grid with the same
-    stability_tol criterion, so no doubled-grid eigenpairs are computed.
-    """
-    return _solve_banded(params, sector, grid, layout,
-                         _sector_bands(params, sector, grid, layout),
-                         count, spurious_threshold,
-                         stability_check, stability_tol)
+    """solve_bound_levels on the operator's params, sector, grid and layout:
+    its bands are the same floats as the tridiagonal entries of op.matrix."""
+    return solve_bound_levels(op.params, op.sector, op.grid, op.layout,
+                              count, spurious_threshold, stability_check,
+                              stability_tol)
 
 
 @dataclass(frozen=True)

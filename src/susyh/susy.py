@@ -23,8 +23,8 @@ Products with a scipy.sparse diagonal would reorder the indices of their
 result, and {Q1, Q2} and H_susy - A^2 would then come out nonzero.
 The two analytic identities that are not structural, A^2 = 1 + ... and
 [H, A] = 0, hold at second order in the grid step and are verified by
-refinement.  The refinement ladder, the kernel study, the eta pinning and
-the alternate-assembly check act with O(n) CSR forms of A_mp and the sector
+refinement.  The refinement ladder, the kernel study and the
+alternate-assembly check act with O(n) CSR forms of A_mp and the sector
 Hamiltonians; their sums run in another order than dense products, which
 shifts reported refinement residuals by up to about 1e-5 relative.  Those
 operators are assembled as radial.Bands (offset -> row vector) and
@@ -36,12 +36,14 @@ A_block) and in build_supercharges, which return them as public objects;
 verify reads A_block and the diagonal of K_block but forms no dense product.
 
 Two independent A assemblies are kept: the primary one from the defining
-form A = eta * interp - (kappa / (Z alpha m)) J (H - m gamma^0), and an
-alternate one from the Hermitian vector form built out of the anticommutator
-{p, L} / (2 m Z alpha) - x/r; they agree at second order on smooth states.
-The free sign eta of the angular matrix element is pinned by the kernel
-contract: the assembled A must annihilate the discretized analytic zero
-mode under refinement.
+Johnson-Lippmann form A = eta * interp + (|kappa| / (Z alpha m)) J (H - m
+gamma^0), and an alternate one from the Hermitian vector form built out of
+the anticommutator {p, L} / (2 m Z alpha) - x/r; they agree at second order
+on smooth states.  The sign eta of the angular term is fixed by the algebra:
+A must annihilate the unpaired ground state, which forces eta = +1 in every
+dimension (see ETA).  The kernel contract stays a measured check: the
+kernel_annihilation row of verify_A_squared and kernel_annihilation_report
+follow ||A psi_0|| under refinement.
 """
 
 from __future__ import annotations
@@ -172,15 +174,32 @@ def _floor_masked(res: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.where(np.abs(res) > floor, res, 0.0)
 
 
+# Sign of the angular term of A, fixed by the Johnson-Lippmann algebra
+# (Johnson and Lippmann, Phys. Rev. 78, 329 (1950)): A must annihilate the
+# unpaired ground state.  In _assemble_a_mp's layout A = eta 1 + c J (H -
+# m gamma^0) on the plus-sector doublet (F, G), with c = |kappa| / (Z alpha
+# m) and J = [[0, -1], [1, 0]].  On the ground state, H psi_0 = E_0 psi_0
+# gives (H - m gamma^0) psi_0 = ((E_0 - m) F, (E_0 + m) G), so A psi_0 = 0
+# needs
+#     eta F = c (E_0 + m) G   and   eta G = c (m - E_0) F.
+# The two are consistent when c^2 (m^2 - E_0^2) = 1, which holds exactly:
+# E_0 = m s / |kappa| and kappa^2 - s^2 = (Z alpha)^2.  The ground state has
+# G / F = (kappa - s) / Z alpha (analytic.kernel_wavefunction), positive
+# because s = sqrt(kappa^2 - (Z alpha)^2) < kappa = |kappa|.  So eta =
+# sign(G / F) = +1 for every D, l and subcritical Z alpha.
+ETA = 1
+
+
 def _assemble_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
                    eta: int) -> sp.csr_matrix:
     """Primary A assembly from the plus-sector Hamiltonian's entries, as CSR.
 
     A_mp = eta * blockdiag(Av, Av^T) + c * J (H_plus - m gamma^0), with
-    c = kappa / (Z alpha m), J = [[0, -1], [1, 0]] on the doublet, and Av the
-    staggered two-point average.  J swaps the component roles, which is what
-    lands the result on the swapped (minus-sector) node sets.  Every block
-    is diagonal or bidiagonal, so A_mp has at most 3 nonzeros per row.
+    c = |kappa| / (Z alpha m), J = [[0, -1], [1, 0]] on the doublet, and Av
+    the staggered two-point average; eta = ETA annihilates the zero mode.
+    J swaps the component roles, which is what lands the result on the
+    swapped (minus-sector) node sets.  Every block is diagonal or
+    bidiagonal, so A_mp has at most 3 nonzeros per row.
     """
     _, plus_sector = sector_pair(params, abs_kappa)
     n = grid.n_points
@@ -285,13 +304,6 @@ def _kernel_flat_vector(params: PhysParams, abs_kappa: float,
     return v / np.linalg.norm(v)
 
 
-def _kernel_residual(params: PhysParams, abs_kappa: float, grid: RadialGrid,
-                     eta: int) -> float:
-    a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
-    v = _kernel_flat_vector(params, abs_kappa, grid)
-    return interior_norm(a_mp @ v, grid.n_points, 2)
-
-
 def _alternate_gap(params: PhysParams, abs_kappa: float, grid: RadialGrid,
                    eta: int) -> float:
     """Zero-mode action gap between the primary and alternate assemblies."""
@@ -301,40 +313,19 @@ def _alternate_gap(params: PhysParams, abs_kappa: float, grid: RadialGrid,
     return interior_norm(a_mp @ v - alt @ v, grid.n_points, 3)
 
 
-def _pin_eta(params: PhysParams, abs_kappa: float, grid: RadialGrid) -> int:
-    """The sign whose zero-mode action shrinks by 2x under one doubling."""
-    scores = {}
-    fine = grid.refined(2)
-    for cand in (1, -1):
-        scores[cand] = (_kernel_residual(params, abs_kappa, grid, cand),
-                        _kernel_residual(params, abs_kappa, fine, cand))
-    converging = [cand for cand, (c, f) in scores.items() if f < c / 2.0]
-    if len(converging) != 1:
-        detail = "; ".join(f"eta = {cand:+d}: {c:.4g} -> {f:.4g}"
-                           for cand, (c, f) in scores.items())
-        raise ConventionError(
-            f"kernel contract pins no unique sign: exactly one eta must at "
-            f"least halve the zero-mode residual from n_points = "
-            f"{grid.n_points} to {fine.n_points}, got {detail}; use more "
-            f"--grid-points, or force eta = +1 or -1 in the API (build_A, "
-            f"kernel_annihilation_report)"
-        )
-    return converging[0]
-
-
 def build_A(block: SusyBlock, eta: int | None = None,
             check_alternate: bool = True) -> SusyBlock:
     """Assemble the sector-swap operator and return the completed block.
 
-    When eta is None the sign of the angular matrix element is pinned by the
-    kernel contract: the candidate whose action on the discretized zero mode
-    shrinks by at least 2x under one grid doubling wins; ConventionError if
-    no candidate (or both) does.  Passing eta = +-1 forces the convention
-    (used by negative-control tests).  check_alternate also requires the
-    independent Hermitian-form assembly to agree on the zero mode.
+    eta = None takes the sign of the angular term from the algebra, ETA =
+    +1 (A annihilates the unpaired ground state only with that sign).
+    Passing eta = +-1 forces the convention; -1 is the negative control,
+    which the kernel contract rejects.  check_alternate also requires the
+    independent Hermitian-form assembly to converge to this one on the zero
+    mode; ConventionError if it does not.
     """
     if eta is None:
-        eta = _pin_eta(block.params, block.abs_kappa, block.grid)
+        eta = ETA
     elif eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
     a_mp = _assemble_a_mp(block.params, block.abs_kappa, block.grid,
@@ -655,23 +646,6 @@ def _match_levels(params: PhysParams, abs_kappa: float,
                          witten_index=witten, reason=reason)
 
 
-def spectral_pairing(block: SusyBlock, count: int = 3,
-                     tol: float = 1e-5) -> PairingReport:
-    """Solve both sectors and match levels across the SUSY map.
-
-    The expected structure is minus-level j <-> plus-level j+1 with the
-    plus-sector ground state unpaired.  A minus level lying within tol of
-    two plus levels makes the matching ambiguous: PairingError.  Gaps
-    exceeding tol or a Witten index != 1 are reported as a failed pairing,
-    not an exception.
-    """
-    plus_pairs = radial.solve_spectrum(block.plus, count=count + 1)
-    minus_pairs = radial.solve_spectrum(block.minus, count=count)
-    return _match_levels(block.params, block.abs_kappa,
-                         [p.energy for p in minus_pairs],
-                         [p.energy for p in plus_pairs], tol)
-
-
 def _pairing_grid(params: PhysParams, plus_sector: KappaSector,
                   n_points: int, scheme: str, count: int) -> RadialGrid:
     """Block default grid widened so the top tested level's tail fits.
@@ -702,13 +676,20 @@ def spectral_pairing_at(
     count: int = 3,
     tol: float = 1e-5,
 ) -> PairingReport:
-    """spectral_pairing via banded sector solves, skipping the dense block.
+    """Solve both sectors of the block and match levels across the SUSY map.
+
+    The expected structure is minus-level j <-> plus-level j+1 with the
+    plus-sector ground state unpaired.  A minus level lying within tol of
+    two plus levels makes the matching ambiguous: PairingError.  Gaps
+    exceeding tol or a Witten index != 1 are reported as a failed pairing,
+    not an exception.  Both sectors are solved from their bands
+    (radial.solve_bound_levels), in O(n) memory.
 
     With grid=None the block default grid is used, widened if needed so the
     count-th level's exponential tail fits the box (see _pairing_grid).
     Gaps shrink like the square of the step, so a block whose pairing sits
     above tol on that grid (small s makes the cusp expensive) just needs
-    more points, and those solves stay O(n) in memory here.
+    more points.
     """
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
     if grid is None:
@@ -756,8 +737,8 @@ def kernel_annihilation_report(
     quotient of H on psi_0 at the finest grid against the closed form.
 
     All grids share the sector's default domain, so the family is a genuine
-    refinement ladder.  eta defaults to the kernel-contract pinning on the
-    coarsest pair.
+    refinement ladder.  eta = None uses the derived sign ETA = +1; a forced
+    -1 is the negative control.
     """
     if len(n_points) < 2 or any(b <= a for a, b in zip(n_points,
                                                       n_points[1:])):
@@ -768,7 +749,7 @@ def kernel_annihilation_report(
     grids = [default_grid(params, plus_sector, n_points=n, scheme=scheme)
              for n in n_points]
     if eta is None:
-        eta = _pin_eta(params, abs_kappa, grids[0])
+        eta = ETA
     residuals = []
     for grid in grids:
         a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)

@@ -235,6 +235,8 @@ def test_thread_cap_validation(capsys, monkeypatch):
     (["kernel", "--D", "3", "--grid-points", "200,200"],
      "increasing n_points"),
     (["spectrum", "--D", "2", "--zalpha", "0.4999"], "wall_factor"),
+    (["spectrum", "--D", "2", "--zalpha", "0.4996", "--format", "csv"],
+     "wall_factor"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)
@@ -242,17 +244,41 @@ def test_usage_errors(capsys, argv, needle):
     assert needle in err
 
 
-def test_convention_error_names_the_knobs(capsys):
-    # At s = 0.141 both signs' zero-mode residuals shrink at the same rate,
-    # so eta pinning cannot decide; the message shows each candidate's
-    # coarse -> fine residual and what to change.
-    rc, out, err = run(capsys, ["verify", "--D", "3", "--zalpha", "0.99"])
-    assert rc == 2 and out == ""
-    assert "from n_points = 200 to 400" in err
-    assert "eta = +1: 1.162e+04 -> 3247" in err
-    assert "eta = -1: 1.162e+04 -> 3247" in err
-    assert "--grid-points" in err and "force eta" in err
-    assert "{" not in err
+@pytest.mark.parametrize("argv,failed", [
+    (["verify", "--D", "3", "--zalpha", "0.99"],
+     "FAILED: D3:k1:spectral_pairing_max_gap"),
+    (["verify", "--D", "2", "--zalpha", "0.49"],
+     "FAILED: D2:k0.5:kernel_annihilation"),
+    (["kernel", "--D", "3", "--zalpha", "0.99"], ""),
+    (["kernel", "--D", "2", "--zalpha", "0.49"], ""),
+])
+def test_small_s_blocks_get_a_verdict(capsys, argv, failed):
+    # s = 0.141 and 0.0995: the wall cusp dominates every residual at these
+    # grids, and the checks say so (exit 1) instead of the run crashing.
+    rc, out, err = run(capsys, argv + ["--format", "json"])
+    assert rc == 1
+    assert json.loads(out)["pass"] is False
+    assert err == (failed + "\n" if failed else "")
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    # One process: several subcommands, a usage error, then a valid call.
+    argvs = [
+        ["levels", "--D", "3", "--n-max", "2", "--format", "csv"],
+        ["spectrum", "--D", "3", "--sign", "-", "--grid-points", "200",
+         "--levels", "2"],
+        ["kernel", "--D", "3", "--grid-points", "200,400,800",
+         "--format", "json"],
+        ["spectrum", "--format", "yaml"],
+        ["verify", "--clifford-only", "--D", "2:4", "--format", "json"],
+        ["convergence", "--D", "3", "--grid-points", "100,200,400"],
+    ]
+    cached = [run(capsys, argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, got in zip(argvs, cached):
+        cli.build_parser.cache_clear()
+        assert run(capsys, argv) == got
+    assert cached[3][0] == 2 and cached[-1][0] == 0
 
 
 def test_argparse_errors_map_to_usage_exit(capsys):

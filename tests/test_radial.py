@@ -12,11 +12,9 @@ from susyh import analytic, radial
 from susyh.core import LOG_UNIFORM, UNIFORM, PhysParams, default_grid, \
     kappa_of, make_grid
 from susyh.errors import GridError, SpuriousSpectrumError
-from susyh.radial import (DERIVATIVE, IDENTITY, POTENTIAL, STANDARD, SWAPPED,
-                          TruncationWarning, build_radial_hamiltonian,
-                          build_radial_operator, compose_operators,
-                          convergence_study, solve_bound_levels,
-                          solve_spectrum)
+from susyh.radial import (STANDARD, SWAPPED, TruncationWarning,
+                          build_radial_hamiltonian, convergence_study,
+                          solve_bound_levels, solve_spectrum)
 
 P3 = PhysParams(D=3, z_alpha=0.5)
 SECTOR_P = kappa_of(P3, 0, 1)
@@ -105,7 +103,42 @@ def test_hamiltonian_exactly_symmetric(scheme, layout, sign):
     grid = default_grid(P3, sector, n_points=60, scheme=scheme)
     op = build_radial_hamiltonian(P3, sector, grid, layout=layout)
     assert np.array_equal(op.matrix, op.matrix.T)
-    assert op.kind == radial.HAMILTONIAN
+
+
+# --- References: the dense-matrix routes that the band assembly replaced,
+# kept here to pin it. ------------------------------------------------------
+
+def _interleaved_bands(op):
+    """Diagonal and off-diagonal of op.matrix in position order."""
+    n = op.grid.n_points
+    m = op.matrix
+    d = np.empty(2 * n)
+    e = np.empty(2 * n - 1)
+    ur = m[:n, n:]
+    if op.layout == STANDARD:
+        # Position order G_1, F_1, G_2, F_2, ...
+        d[0::2] = np.diagonal(m[n:, n:])
+        d[1::2] = np.diagonal(m[:n, :n])
+        e[1::2] = np.diagonal(ur, 1)
+    else:
+        # Position order F_1, G_1, F_2, G_2, ...
+        d[0::2] = np.diagonal(m[:n, :n])
+        d[1::2] = np.diagonal(m[n:, n:])
+        e[1::2] = np.diagonal(ur, -1)
+    e[0::2] = np.diagonal(ur)
+    return d, e
+
+
+def _cross_block(grid, kappa):
+    """Dense matrix of the d/dr + kappa/r stencil from nodes_small to nodes
+    rows; the sample above r_max is dropped (Dirichlet)."""
+    n = grid.n_points
+    lo, up = radial._cross_vectors(grid, kappa)
+    c = np.zeros((n, n))
+    idx = np.arange(n)
+    c[idx, idx] = lo
+    c[idx[:-1], idx[:-1] + 1] = up[:-1]
+    return c
 
 
 def test_banded_assembly_matches_dense():
@@ -115,7 +148,7 @@ def test_banded_assembly_matches_dense():
         for layout, sector in ((STANDARD, SECTOR_P), (SWAPPED, SECTOR_M)):
             grid = default_grid(P3, SECTOR_P, n_points=50, scheme=scheme)
             op = build_radial_hamiltonian(P3, sector, grid, layout=layout)
-            d_ref, e_ref = radial._interleaved_bands(op)
+            d_ref, e_ref = _interleaved_bands(op)
             d, e = radial._sector_bands(P3, sector, grid, layout)
             assert np.array_equal(d, d_ref)
             assert np.array_equal(e, e_ref)
@@ -126,10 +159,10 @@ def _dense_hamiltonian(params, sector, grid, layout):
     n = grid.n_points
     if layout == STANDARD:
         r_f, r_g = grid.nodes, grid.nodes_small
-        cross = radial._cross_block(grid, sector.kappa)
+        cross = _cross_block(grid, sector.kappa)
     else:
         r_f, r_g = grid.nodes_small, grid.nodes
-        cross = -radial._cross_block(grid, -sector.kappa).T
+        cross = -_cross_block(grid, -sector.kappa).T
     mat = np.zeros((2 * n, 2 * n))
     idx = np.arange(n)
     mat[idx, idx] = params.m + radial._diag_potential(params, r_f)
@@ -235,41 +268,6 @@ def test_negative_count_is_rejected():
     grid = default_grid(P3, SECTOR_P, n_points=200)
     with pytest.raises(ValueError, match="count"):
         solve_bound_levels(P3, SECTOR_P, grid, count=-1)
-
-
-def test_solve_spectrum_requires_hamiltonian():
-    grid = default_grid(P3, SECTOR_P, n_points=60)
-    ident = build_radial_operator(P3, SECTOR_P, grid, IDENTITY)
-    with pytest.raises(ValueError):
-        solve_spectrum(ident)
-
-
-def test_primitive_operators():
-    grid = default_grid(P3, SECTOR_P, n_points=60)
-    n = grid.n_points
-    ident = build_radial_operator(P3, SECTOR_P, grid, IDENTITY)
-    assert np.array_equal(ident.matrix, np.eye(2 * n))
-    pot = build_radial_operator(P3, SECTOR_P, grid, POTENTIAL)
-    off_diag = pot.matrix - np.diag(np.diagonal(pot.matrix))
-    assert np.count_nonzero(off_diag) == 0
-    np.testing.assert_allclose(np.diagonal(pot.matrix)[:n],
-                               -P3.z_alpha / grid.nodes, rtol=1e-14)
-    der = build_radial_operator(P3, SECTOR_P, grid, DERIVATIVE)
-    assert np.array_equal(der.matrix, -der.matrix.T)
-    with pytest.raises(ValueError):
-        build_radial_operator(P3, SECTOR_P, grid, "laplacian")
-
-
-def test_compose_operators():
-    grid = default_grid(P3, SECTOR_P, n_points=60)
-    ident = build_radial_operator(P3, SECTOR_P, grid, IDENTITY)
-    pot = build_radial_operator(P3, SECTOR_P, grid, POTENTIAL)
-    combo = compose_operators([2.0, -1.0], [ident, pot])
-    assert np.array_equal(combo.matrix, 2.0 * ident.matrix - pot.matrix)
-    assert combo.kind == radial.COMPOSITE
-    other = build_radial_operator(P3, SECTOR_P, grid.refined(2), IDENTITY)
-    with pytest.raises(ValueError):
-        compose_operators([1.0, 1.0], [ident, other])
 
 
 def test_layout_validation():
@@ -541,17 +539,39 @@ def test_offdiagonal_overflow_boundary_is_typed():
 def test_near_critical_wall_overflow_is_typed():
     # D = 2, Z alpha = 0.4999: the default wall 10^(-3/s) sits at 1e-300,
     # where max |e| reaches 4.9e299.  A wall at 1e-152 (max |e| 1.5e152)
-    # still solves; one at 1e-154 (1.4e154) is past the boundary.
+    # still bisects, though its eigenvectors are not finite (see the next
+    # test); one at 1e-154 (1.4e154) is past the boundary.
     p = PhysParams(D=2, z_alpha=0.4999)
     sector = kappa_of(p, 0, 1)
     with pytest.raises(GridError, match="wall_factor.*z_alpha"):
         solve_bound_levels(p, sector, default_grid(p, sector))
     grid = default_grid(p, sector, n_points=800, wall_factor=1e-152)
-    assert np.abs(radial._sector_bands(p, sector, grid, STANDARD)[1]).max() \
-        < 1e153
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        assert solve_bound_levels(p, sector, grid, count=1)
+    bands = radial._sector_bands(p, sector, grid, STANDARD)
+    assert np.abs(bands[1]).max() < 1e153
+    assert radial._window(*bands, p.m)[1] > 0
+    with pytest.raises(GridError, match="non-finite.*wall_factor"):
+        solve_bound_levels(p, sector, grid, count=1)
     grid = default_grid(p, sector, n_points=800, wall_factor=1e-154)
     with pytest.raises(GridError, match="wall_factor"):
         radial._sector_bands(p, sector, grid, STANDARD)
+
+
+def test_non_finite_eigenvectors_are_typed():
+    # D = 2, Z alpha = 0.4996: the default wall (9.3e-151) passes the
+    # overflow check, but inverse iteration returns NaN vectors and the
+    # ground level reads E/m = 0.034 against 0.040.  Both solver outputs
+    # refuse them; a larger wall gives finite levels.
+    p = PhysParams(D=2, z_alpha=0.4996)
+    sector = kappa_of(p, 0, 1)
+    grid = default_grid(p, sector)
+    with pytest.raises(GridError, match="non-finite.*wall_factor.*z_alpha"):
+        solve_bound_levels(p, sector, grid, count=3)
+    bands = radial._sector_bands(p, sector, grid, STANDARD)
+    for count in (None, 4):
+        with pytest.raises(GridError, match="non-finite"):
+            radial._bound_window_solve(*bands, p.m, count)
+    grid = default_grid(p, sector, wall_factor=1e-100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        pairs = solve_bound_levels(p, sector, grid, count=3)
+    assert all(np.isfinite(x).all() for pair in pairs for x in pair.doublet)

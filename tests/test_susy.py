@@ -15,12 +15,13 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from susyh import radial, susy
-from susyh.core import PhysParams, default_grid
+from susyh.core import UNIFORM, PhysParams, default_grid
 from susyh.errors import ConventionError, PairingError
 from susyh.susy import (build_A, build_supercharges, build_susy_block,
                         interior_norm, kernel_annihilation_report,
-                        sector_pair, spectral_pairing, spectral_pairing_at,
-                        verify_A_squared)
+                        sector_pair, spectral_pairing_at, verify_A_squared)
+from test_bench_contract import load_bench_module
+from test_radial import _interleaved_bands
 
 P3 = PhysParams(D=3, z_alpha=0.5)
 
@@ -35,7 +36,8 @@ def _params(D):
 
 @pytest.fixture(scope="module")
 def small_blocks():
-    # eta pinning doubles the grid once, so n = 80 keeps this cheap.
+    # The alternate-assembly check doubles the grid once, so n = 80 keeps
+    # this cheap.
     return {(D, ak): build_A(build_susy_block(_params(D), ak, n_points=80))
             for D, ak in BLOCK_CASES}
 
@@ -98,6 +100,44 @@ def test_build_A_returns_new_immutable_block():
     assert np.array_equal(done.A_block[:n2, n2:], done.a_mp())
 
 
+def _kernel_residual(params, abs_kappa, grid, eta):
+    a_mp = susy._assemble_a_mp(params, abs_kappa, grid, eta)
+    v = susy._kernel_flat_vector(params, abs_kappa, grid)
+    return interior_norm(a_mp @ v, grid.n_points, 2)
+
+
+def _reference_pin_eta(params, abs_kappa, grid):
+    """Reference: the refinement race that chose eta before it was derived.
+    The sign whose zero-mode action shrinks by 2x under one doubling wins;
+    None when no sign, or both, does."""
+    fine = grid.refined(2)
+    converging = [cand for cand in (1, -1)
+                  if _kernel_residual(params, abs_kappa, fine, cand)
+                  < _kernel_residual(params, abs_kappa, grid, cand) / 2.0]
+    return converging[0] if len(converging) == 1 else None
+
+
+def test_derived_eta_matches_refinement_race_on_bench_blocks():
+    blocks = load_bench_module("workloads").block_domain()
+    assert len(blocks) == 47
+    for D, l, za in blocks:
+        params = PhysParams(D=D, z_alpha=za)
+        ak = l + (D - 1) / 2
+        grid = default_grid(params, sector_pair(params, ak)[1], n_points=200)
+        assert _reference_pin_eta(params, ak, grid) == susy.ETA, (D, l, za)
+        block = build_A(build_susy_block(params, ak, grid=grid),
+                        check_alternate=False)
+        assert block.eta == susy.ETA == 1
+
+
+def test_derived_eta_on_uniform_scheme():
+    # The kernel wavefunction does not fit the uniform grid's wall, so the
+    # race could not score either sign there; the derived sign needs no
+    # zero-mode sample.
+    block = build_susy_block(P3, 1.0, n_points=80, scheme=UNIFORM)
+    assert build_A(block, check_alternate=False).eta == 1
+
+
 def test_explicit_eta_reproduces_pinned_assembly():
     base = build_susy_block(P3, 1.0, n_points=60)
     pinned = build_A(base, check_alternate=False)
@@ -111,8 +151,8 @@ def test_wrong_eta_breaks_kernel_annihilation():
     # With the flipped sign the zero-mode action does not shrink under
     # refinement at all: the defining contract rejects it.
     grid = default_grid(P3, sector_pair(P3, 1.0)[1], n_points=100)
-    coarse = susy._kernel_residual(P3, 1.0, grid, -1)
-    fine = susy._kernel_residual(P3, 1.0, grid.refined(2), -1)
+    coarse = _kernel_residual(P3, 1.0, grid, -1)
+    fine = _kernel_residual(P3, 1.0, grid.refined(2), -1)
     assert fine > coarse / 2.0
     report = kernel_annihilation_report(P3, 1.0, n_points=(100, 200, 400),
                                         eta=-1)
@@ -243,9 +283,18 @@ def test_spectral_pairing_defaults_pass_on_small_s_block():
     assert 0.0 < report.max_gap < 1e-5
 
 
+def _block_pairing(block, count=3, tol=1e-5):
+    """Reference: pairing from the block's dense sector operators."""
+    plus = radial.solve_spectrum(block.plus, count=count + 1)
+    minus = radial.solve_spectrum(block.minus, count=count)
+    return susy._match_levels(block.params, block.abs_kappa,
+                              [p.energy for p in minus],
+                              [p.energy for p in plus], tol)
+
+
 def test_pairing_paths_agree_bitwise():
     block = build_susy_block(P3, 1.0, n_points=200)
-    via_block = spectral_pairing(block)
+    via_block = _block_pairing(block)
     via_bands = spectral_pairing_at(P3, 1.0, grid=block.grid)
     assert via_block.unpaired_energy == via_bands.unpaired_energy
     assert via_block.witten_index == via_bands.witten_index
@@ -254,9 +303,9 @@ def test_pairing_paths_agree_bitwise():
 
 
 def test_pairing_ambiguity_at_absurd_tolerance():
-    block = build_susy_block(P3, 1.0, n_points=200)
+    grid = default_grid(P3, sector_pair(P3, 1.0)[1], n_points=200)
     with pytest.raises(PairingError):
-        spectral_pairing(block, tol=0.5)
+        spectral_pairing_at(P3, 1.0, grid=grid, tol=0.5)
 
 
 def test_pairing_requires_plus_levels():
@@ -386,8 +435,7 @@ def _dense_verify(block, min_ratio=3.5, refinements=2, ensemble=4,
         hp = plus.matrix
         a_abs, hp_abs, hm_abs = np.abs(a_mp), np.abs(hp), np.abs(hm)
         vk = susy._kernel_flat_vector(params, ak, grid)
-        _, vecs = radial._bound_window_solve(*radial._interleaved_bands(plus),
-                                             m)
+        _, vecs = radial._bound_window_solve(*_interleaved_bands(plus), m)
         cols = vecs[:, :ensemble]
         vs = np.column_stack([np.vstack([cols[1::2], cols[0::2]]), vk])
         eq6, comm = [], []
