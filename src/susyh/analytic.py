@@ -316,10 +316,6 @@ class LevelScheme:
     COLUMNS = ("id", "D", "tanh_D", "kappa", "n", "l", "E_over_m",
                "binding", "partner_id", "is_ladder_bottom")
 
-    def to_rows(self) -> list:
-        return [[r.id, r.D, r.tanh_D, r.kappa, r.n, r.l, r.E_over_m,
-                 r.binding, r.partner_id, r.is_ladder_bottom] for r in self.rows]
-
 
 def _row_id(D: int, kappa: float, n: int) -> str:
     return f"D{D}:k{kappa:+g}:n{n}"

@@ -12,9 +12,7 @@ Exit status: 0 when every check passes, 1 when a check fails, 2 on usage or
 validation errors.  Runs are deterministic: repeated invocations produce
 byte-identical output.  Floats are printed at up to 17 significant digits
 (%.17g in csv/text; shortest round-trip in json, which is exact to the same
-guarantee).  SUSYH_THREADS caps the worker threads that `levels` and
-`verify --clifford-only` run over a D range (one task per dimension); it
-does not touch BLAS threads.
+guarantee).
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic, clifford, radial, susy
@@ -100,28 +96,6 @@ def _parse_points(text: str) -> tuple:
     if any(p <= 0 for p in pts):
         raise CLIError("--grid-points must be positive")
     return pts
-
-
-def _max_workers(n_jobs: int) -> int:
-    env = os.environ.get("SUSYH_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CLIError(f"SUSYH_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise CLIError("SUSYH_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
-def _pmap(fn, items: list) -> list:
-    """Parallel map preserving input order; serial when capped to one."""
-    if len(items) <= 1 or _max_workers(len(items)) == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_max_workers(len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -264,8 +238,7 @@ def _susy_block_rows(cfg: RunConfig, params: PhysParams,
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.clifford_only:
-        groups = _pmap(_clifford_rows, list(cfg.d_values))
-        rows = [r for grp in groups for r in grp]
+        rows = [r for D in cfg.d_values for r in _clifford_rows(D)]
     else:
         D = _single_d(cfg)
         params = _make_params(cfg, D)
@@ -318,11 +291,8 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 
 def cmd_levels(cfg: RunConfig) -> int:
-    def one_dim(d: int) -> analytic.LevelScheme:
-        return analytic.level_scheme_export([_make_params(cfg, d)],
-                                            n_max=cfg.n_max)
-    schemes = _pmap(one_dim, list(cfg.d_values))
-    rows = [row for s in schemes for row in s.rows]
+    family = [_make_params(cfg, d) for d in cfg.d_values]
+    rows = analytic.level_scheme_export(family, n_max=cfg.n_max).rows
     bad = []
     for d in cfg.d_values:
         for l in range(cfg.n_max):

@@ -447,9 +447,8 @@ def _window(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
 
 
 def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float,
-                        count: int | None = None) -> tuple:
-    """The lowest `count` eigenpairs in the window (all when count is None),
-    ascending.
+                        count: int) -> tuple:
+    """The lowest `count` eigenpairs in the window, ascending.
 
     The whole window is bisected by value whatever count is, so the
     eigenvalues are the same floats as the full-window solve, and inverse
@@ -460,11 +459,6 @@ def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float,
     fitted order (D = 2, |kappa| = 1/2, n = 80).
     """
     lo, hi = _window_bounds(m)
-    if count is None:
-        vals, vecs = _eigh(d, e, select="v", select_range=(lo, hi),
-                           tol=_FULL_PRECISION)
-        _check_vectors(vecs, e)
-        return vals, vecs
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
     size, w, iblock, isplit, info = stebz(d, e, 1, lo, hi, 0, 0,
                                           _FULL_PRECISION, "B")

@@ -202,24 +202,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == stdout_text
 
 
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    argv = ["verify", "--clifford-only", "--D", "2:6", "--format", "json"]
-    monkeypatch.setenv("SUSYH_THREADS", "1")
-    _, serial, _ = run(capsys, argv)
-    monkeypatch.setenv("SUSYH_THREADS", "3")
-    _, threaded, _ = run(capsys, argv)
-    assert serial == threaded
-
-
-def test_thread_cap_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SUSYH_THREADS", "zebra")
-    rc, _, err = run(capsys, ["levels", "--D", "2:4"])
-    assert rc == 2 and "error:" in err
-    monkeypatch.setenv("SUSYH_THREADS", "0")
-    rc, _, err = run(capsys, ["levels", "--D", "2:4"])
-    assert rc == 2
-
-
 @pytest.mark.parametrize("argv,needle", [
     (["spectrum", "--D", "2:5"], "single --D"),
     (["spectrum", "--D", "3", "--zalpha", "1.2"], "stability"),

@@ -15,7 +15,7 @@ from susyh.clifford import (GammaRep, build_gamma_rep, gamma_rep_to_json,
 EXACT_ENTRIES = np.array([0, 1, -1, 1j, -1j])
 
 
-@pytest.mark.parametrize("D", range(2, 11))
+@pytest.mark.parametrize("D", range(2, 16))
 def test_all_identities_pass(D):
     report = verify_clifford(build_gamma_rep(D))
     assert report.all_passed
@@ -143,6 +143,31 @@ def test_tampered_representation_fails():
     assert not report.all_passed
     assert any(r.name == "anticommutator_1_2" and not r.passed
                for r in report.rows)
+
+
+@pytest.mark.parametrize("D", range(2, 10))
+def test_row_gather_equals_matrix_product(D):
+    rep = build_gamma_rep(D)
+    mats = (*rep.gammas, rep.gamma_chir)
+    for a in mats:
+        cols, vals = clifford._row_nonzeros(a)
+        for b in mats:
+            assert np.array_equal(vals[:, None] * b[cols], a @ b)
+
+
+def test_non_permutation_falls_back_to_matrix_product():
+    # gamma^1 + gamma^3 has two nonzeros per row, so its products go through
+    # `@`; its square and {., gamma^3} are wrong, and the gamma product is
+    # no longer proportional to gamma^{D+1}.
+    rep = build_gamma_rep(3)
+    gammas = list(g.copy() for g in rep.gammas)
+    gammas[1] = gammas[1] + gammas[3]
+    assert clifford._row_nonzeros(gammas[1]) is None
+    bad = GammaRep(D=rep.D, spinor_dim=rep.spinor_dim, gammas=tuple(gammas),
+                   gamma_chir=rep.gamma_chir.copy(), metric=rep.metric.copy())
+    failed = [r.name for r in verify_clifford(bad).rows if not r.passed]
+    assert failed == ["anticommutator_1_1", "anticommutator_1_3",
+                      "chirality_proportional_to_gamma_product"]
 
 
 def test_report_dict_schema():

@@ -435,7 +435,10 @@ def _dense_verify(block, min_ratio=3.5, refinements=2, ensemble=4,
         hp = plus.matrix
         a_abs, hp_abs, hm_abs = np.abs(a_mp), np.abs(hp), np.abs(hm)
         vk = susy._kernel_flat_vector(params, ak, grid)
-        _, vecs = radial._bound_window_solve(*_interleaved_bands(plus), m)
+        _, vecs = eigh_tridiagonal(*_interleaved_bands(plus),
+                                   lapack_driver="stebz", select="v",
+                                   select_range=radial._window_bounds(m),
+                                   tol=radial._FULL_PRECISION)
         cols = vecs[:, :ensemble]
         vs = np.column_stack([np.vstack([cols[1::2], cols[0::2]]), vk])
         eq6, comm = [], []
