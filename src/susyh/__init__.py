@@ -25,8 +25,6 @@ from .clifford import (
     verify_clifford,
 )
 from .core import (
-    LOG_UNIFORM,
-    UNIFORM,
     KappaSector,
     PhysParams,
     RadialGrid,
@@ -86,7 +84,7 @@ __version__ = "1.0.0"
 __all__ = [
     "CliffordReport", "GammaRep", "build_gamma_rep", "gamma_rep_to_json",
     "spin_generator", "spin_operator", "verify_clifford",
-    "LOG_UNIFORM", "UNIFORM", "KappaSector", "PhysParams", "RadialGrid",
+    "KappaSector", "PhysParams", "RadialGrid",
     "default_grid", "kappa_of", "make_grid",
     "LevelLabel", "LevelScheme", "SpectrumTable", "energy",
     "enumerate_levels", "ground_energy", "interdimensional_check",

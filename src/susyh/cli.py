@@ -22,8 +22,10 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from . import analytic, clifford, radial, susy
@@ -238,6 +240,8 @@ def _susy_block_rows(cfg: RunConfig, params: PhysParams,
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.clifford_only:
+        for D in cfg.d_values:  # the whole range, before any check runs
+            clifford.spinor_dim(D)
         rows = [r for D in cfg.d_values for r in _clifford_rows(D)]
     else:
         D = _single_d(cfg)
@@ -293,12 +297,10 @@ def cmd_kernel(cfg: RunConfig) -> int:
 def cmd_levels(cfg: RunConfig) -> int:
     family = [_make_params(cfg, d) for d in cfg.d_values]
     rows = analytic.level_scheme_export(family, n_max=cfg.n_max).rows
-    bad = []
-    for d in cfg.d_values:
-        for l in range(cfg.n_max):
-            ladder = [r for r in rows if r.D == d and r.l == l]
-            if ladder and sum(r.is_ladder_bottom for r in ladder) != 1:
-                bad.append((d, l))
+    bottoms = Counter()
+    for r in rows:
+        bottoms[r.D, r.l] += r.is_ladder_bottom
+    bad = sorted(key for key, count in bottoms.items() if count != 1)
     columns = analytic.LevelScheme.COLUMNS
     table = [[getattr(r, c) for c in columns] for r in rows]
     json_obj = {
@@ -430,6 +432,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     n_max = getattr(ns, "n_max", 4)
     if n_max < 1:
         raise CLIError("--n-max must be >= 1")
+    if ns.r_max is not None and not 0 < ns.r_max < math.inf:
+        raise CLIError(f"--r-max must be positive and finite, got {ns.r_max!r}")
     return RunConfig(
         command=ns.command,
         d_values=d_values,

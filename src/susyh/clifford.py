@@ -63,28 +63,36 @@ def _euclidean_set(k: int) -> list:
     return out
 
 
-def build_gamma_rep(D: int) -> GammaRep:
-    """Build the representation for D >= 2 spatial dimensions.
+def spinor_dim(D: int) -> int:
+    """2^ceil((D+1)/2), the spinor size of the representation for D.
 
-    spinor_dim = 2^ceil((D+1)/2); construction is the doubling
-    gamma^0 = sigma3 x 1, gamma^i = i sigma1 x e_i, gamma^{D+1} = sigma2 x 1
-    over a Euclidean anticommuting set {e_i}.  Raises ValueError for D < 2 or
-    when spinor_dim would exceed MAX_SPINOR_DIM.
+    Raises ValueError for D < 2 or when it would exceed MAX_SPINOR_DIM.
     """
     if not isinstance(D, int) or D < 2:
         raise ValueError(f"D must be an integer >= 2, got {D!r}")
-    spinor_dim = 2 ** ((D + 2) // 2)
-    if spinor_dim > MAX_SPINOR_DIM:
+    dim = 2 ** ((D + 2) // 2)
+    if dim > MAX_SPINOR_DIM:
         raise ValueError(
-            f"spinor_dim {spinor_dim} exceeds cap {MAX_SPINOR_DIM} (D <= 19)"
+            f"spinor_dim {dim} exceeds cap {MAX_SPINOR_DIM} (D <= 19)"
         )
+    return dim
+
+
+def build_gamma_rep(D: int) -> GammaRep:
+    """Build the representation for D >= 2 spatial dimensions.
+
+    The spinor size is spinor_dim(D), which validates D; construction is the
+    doubling gamma^0 = sigma3 x 1, gamma^i = i sigma1 x e_i,
+    gamma^{D+1} = sigma2 x 1 over a Euclidean anticommuting set {e_i}.
+    """
+    dim = spinor_dim(D)
     spatial = _euclidean_set(D)
     eye = np.eye(spatial[0].shape[0], dtype=complex)
     gamma0 = np.kron(_SIGMA3, eye)
     gammas = (gamma0, *(1j * np.kron(_SIGMA1, e) for e in spatial))
     gamma_chir = np.kron(_SIGMA2, eye)
     metric = np.diag([1.0] + [-1.0] * D)
-    return GammaRep(D=D, spinor_dim=spinor_dim, gammas=gammas,
+    return GammaRep(D=D, spinor_dim=dim, gammas=gammas,
                     gamma_chir=gamma_chir, metric=metric)
 
 

@@ -3,6 +3,8 @@
 Units: hbar = c = 1 throughout; energies are reported in units of the mass m.
 The Coulomb problem in D spatial dimensions has a natural radial length scale
 |kappa| / (Z alpha m) per angular sector, used by the default grid rule.
+Radial grids are uniform in t = ln r, the one scheme that resolves the r^s
+cusp of the bound states at the origin.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, SubcriticalError
-
-UNIFORM = "uniform"
-LOG_UNIFORM = "log_uniform"
-_SCHEMES = (UNIFORM, LOG_UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -92,16 +90,15 @@ def kappa_of(params: PhysParams, l: int, sign: int) -> KappaSector:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Staggered radial grid on [r_min, r_max].
+    """Staggered log-uniform radial grid on [r_min, r_max].
 
     The large component F lives on `nodes`, the small component G on
-    `nodes_small`, shifted half a step toward the origin.  For the uniform
-    scheme the step is constant in r; for log_uniform it is constant in
-    t = ln r.  `weights`/`weights_small` are exact cell widths of a partition
-    of [r_min, r_max], so each weight vector sums to r_max - r_min.
+    `nodes_small`, shifted half a step toward the origin.  The step is
+    constant in t = ln r, which resolves the r^s cusp at the origin.
+    `weights`/`weights_small` are exact cell widths of a partition of
+    [r_min, r_max], so each weight vector sums to r_max - r_min.
     """
 
-    scheme: str
     r_min: float
     r_max: float
     n_points: int
@@ -112,53 +109,38 @@ class RadialGrid:
     weights_small: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
         if self.n_points < 8:
             raise ValueError(f"n_points must be >= 8, got {self.n_points}")
         for arr in (self.nodes, self.nodes_small, self.weights, self.weights_small):
             arr.flags.writeable = False
 
     def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same domain and scheme with n_points scaled by `factor`."""
-        return make_grid(self.scheme, self.r_min, self.r_max, self.n_points * factor)
+        """Same domain with n_points scaled by `factor`."""
+        return make_grid(self.r_min, self.r_max, self.n_points * factor)
 
 
-def _partition_weights(edges_low: np.ndarray, edges_high: np.ndarray) -> np.ndarray:
-    return edges_high - edges_low
-
-
-def make_grid(scheme: str, r_min: float, r_max: float, n_points: int) -> RadialGrid:
+def make_grid(r_min: float, r_max: float, n_points: int) -> RadialGrid:
     """Construct a staggered grid; see RadialGrid for the layout."""
+    if not 0 < r_min < r_max < math.inf:
+        raise ValueError(
+            f"need 0 < r_min < r_max < inf, got r_min = {r_min!r}, "
+            f"r_max = {r_max!r}"
+        )
     n = int(n_points)
-    if scheme == UNIFORM:
-        h = (r_max - r_min) / (n + 1)
-        nodes = r_min + h * np.arange(1, n + 1)
-        nodes_small = nodes - h / 2
-        # F cells: [r_min, F_1 + h/2], interior [F_j - h/2, F_j + h/2], last to r_max.
-        edges = np.concatenate([[r_min], nodes[:-1] + h / 2, [r_max]])
-        # G cells start exactly at r_min (G_1 - h/2 = r_min); last extends to r_max.
-        edges_s = np.concatenate([[r_min], nodes_small[:-1] + h / 2, [r_max]])
-    elif scheme == LOG_UNIFORM:
-        t_min, t_max = math.log(r_min), math.log(r_max)
-        h = (t_max - t_min) / (n + 1)
-        t = t_min + h * np.arange(1, n + 1)
-        nodes = np.exp(t)
-        nodes_small = np.exp(t - h / 2)
-        edges = np.exp(np.concatenate([[t_min], t[:-1] + h / 2, [t_max]]))
-        edges_s = np.exp(np.concatenate([[t_min], t[:-1], [t_max]]))
-        edges[0] = edges_s[0] = r_min
-        edges[-1] = edges_s[-1] = r_max
-    else:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    w = _partition_weights(edges[:-1], edges[1:])
-    w_s = _partition_weights(edges_s[:-1], edges_s[1:])
+    t_min, t_max = math.log(r_min), math.log(r_max)
+    h = (t_max - t_min) / (n + 1)
+    t = t_min + h * np.arange(1, n + 1)
+    nodes = np.exp(t)
+    nodes_small = np.exp(t - h / 2)
+    edges = np.exp(np.concatenate([[t_min], t[:-1] + h / 2, [t_max]]))
+    edges_s = np.exp(np.concatenate([[t_min], t[:-1], [t_max]]))
+    edges[0] = edges_s[0] = r_min
+    edges[-1] = edges_s[-1] = r_max
     return RadialGrid(
-        scheme=scheme, r_min=float(r_min), r_max=float(r_max), n_points=n,
+        r_min=float(r_min), r_max=float(r_max), n_points=n,
         step=h, nodes=nodes, nodes_small=nodes_small,
-        weights=w, weights_small=w_s,
+        weights=edges[1:] - edges[:-1],
+        weights_small=edges_s[1:] - edges_s[:-1],
     )
 
 
@@ -166,7 +148,6 @@ def default_grid(
     params: PhysParams,
     sector: KappaSector,
     n_points: int = 800,
-    scheme: str = LOG_UNIFORM,
     r_max_factor: float = 60.0,
     wall_factor: float | None = None,
 ) -> RadialGrid:
@@ -182,10 +163,7 @@ def default_grid(
         raise ValueError("default_grid needs z_alpha > 0; build an explicit grid")
     unit = sector.abs_kappa / (params.z_alpha * params.m)
     if wall_factor is None:
-        if scheme == LOG_UNIFORM:
-            wall_factor = 10.0 ** (-max(6.0, 3.0 / sector.s))
-        else:
-            wall_factor = 1.0 / (n_points + 1) * r_max_factor
+        wall_factor = 10.0 ** (-max(6.0, 3.0 / sector.s))
     r_min = wall_factor * unit
     if not r_min >= np.finfo(np.float64).tiny:
         raise GridError(
@@ -194,4 +172,4 @@ def default_grid(
             f"s = {sector.s:.6g}; pass a larger wall_factor or use a smaller "
             f"z_alpha"
         )
-    return make_grid(scheme, r_min, r_max_factor * unit, n_points)
+    return make_grid(r_min, r_max_factor * unit, n_points)

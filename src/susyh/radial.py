@@ -14,8 +14,8 @@ Discretization: F and G live on mutually staggered nodes, half a step apart,
 so first derivatives are two-point centered differences with no spurious
 null mode; the assembled matrix is real symmetric and tridiagonal when the
 components are interleaved by position, which is also the fast eigensolver
-path.  On the log_uniform scheme the operator is assembled for the
-transformed fields e^{t/2} F(e^t), t = ln r, which is a unitary change, and
+path.  The grid is uniform in t = ln r, and the operator is assembled for
+the transformed fields e^{t/2} F(e^t), which is a unitary change, and
 eigenvectors are mapped back to physical samples.  Walls are Dirichlet: the
 component values just outside [r_min, r_max] are dropped.
 """
@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
 
 from . import analytic
-from .core import LOG_UNIFORM, UNIFORM, KappaSector, PhysParams, RadialGrid
+from .core import KappaSector, PhysParams, RadialGrid
 from .errors import ConvergenceError, GridError, SpuriousSpectrumError
 
 STANDARD = "standard"   # F on grid.nodes, G on grid.nodes_small
@@ -102,20 +102,15 @@ def _cross_vectors(grid: RadialGrid, kappa: float) -> tuple:
     Returns (lo, up): lo[j] couples row j to the small node below it, up[j]
     to the small node above.  The 1/r factor is sampled at the quarter-step
     midpoints so the pairing with each neighbor is symmetric and second
-    order.  On the log scheme both terms carry the e^{-t} weights of the
-    unitarily transformed operator.
+    order.  Both terms carry the e^{-t} weights of the unitarily transformed
+    operator.
     """
-    if grid.scheme == UNIFORM:
-        h = grid.step
-        lo = -1.0 / h + 0.5 * kappa / (grid.nodes - h / 4)
-        up = 1.0 / h + 0.5 * kappa / (grid.nodes + h / 4)
-    else:
-        ht = grid.step
-        t = np.log(grid.nodes)
-        w_lo = np.exp(-(t - ht / 4))
-        w_up = np.exp(-(t + ht / 4))
-        lo = w_lo * (-1.0 / ht + 0.5 * kappa)
-        up = w_up * (1.0 / ht + 0.5 * kappa)
+    ht = grid.step
+    t = np.log(grid.nodes)
+    w_lo = np.exp(-(t - ht / 4))
+    w_up = np.exp(-(t + ht / 4))
+    lo = w_lo * (-1.0 / ht + 0.5 * kappa)
+    up = w_up * (1.0 / ht + 0.5 * kappa)
     return lo, up
 
 
@@ -382,11 +377,8 @@ def _split_doublet(layout: str, grid: RadialGrid, column: np.ndarray) -> tuple:
         g, f = column[0::2], column[1::2]
     else:
         f, g = column[0::2], column[1::2]
-    if grid.scheme == LOG_UNIFORM:
-        nodes_f, nodes_g = _layout_nodes(grid, layout)
-        f = f / np.sqrt(nodes_f)
-        g = g / np.sqrt(nodes_g)
-    return f, g
+    nodes_f, nodes_g = _layout_nodes(grid, layout)
+    return f / np.sqrt(nodes_f), g / np.sqrt(nodes_g)
 
 
 # tol <= 0 would mean eps * ||T||, and ||T|| is dominated by the huge

@@ -55,8 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import analytic, radial
-from .core import LOG_UNIFORM, UNIFORM, KappaSector, PhysParams, RadialGrid, \
-    default_grid, kappa_of
+from .core import KappaSector, PhysParams, RadialGrid, default_grid, kappa_of
 from .errors import ConventionError, PairingError
 
 MAX_ELEMENT_EXACT = "max_element_exact"
@@ -124,12 +123,11 @@ def build_susy_block(
     abs_kappa: float,
     grid: RadialGrid | None = None,
     n_points: int = 800,
-    scheme: str = LOG_UNIFORM,
 ) -> SusyBlock:
     """Assemble both sector Hamiltonians on one shared staggered grid."""
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
     if grid is None:
-        grid = default_grid(params, plus_sector, n_points=n_points, scheme=scheme)
+        grid = default_grid(params, plus_sector, n_points=n_points)
     plus = radial.build_radial_hamiltonian(params, plus_sector, grid,
                                            layout=radial.STANDARD)
     minus = radial.build_radial_hamiltonian(params, minus_sector, grid,
@@ -253,10 +251,7 @@ def alternate_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
     gap_ih[1:] = np.diff(r_i)
     inv = 1.0 / gap_ih
     d_ih = radial.Bands(n, {0: inv, -1: -inv})
-    if grid.scheme == LOG_UNIFORM:
-        r_h_top = r_h[-1] ** 2 / r_h[-2]
-    else:
-        r_h_top = 2 * r_h[-1] - r_h[-2]
+    r_h_top = r_h[-1] ** 2 / r_h[-2]
     gap_hi = np.empty(n)
     gap_hi[:-1] = np.diff(r_h)
     gap_hi[-1] = r_h_top - r_h[-1]
@@ -283,11 +278,10 @@ def alternate_a_mp(params: PhysParams, abs_kappa: float, grid: RadialGrid,
                                           r_i, r_h))
     lr = eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih,
                                           r_h, r_i))
-    if grid.scheme == LOG_UNIFORM:
-        s_i = np.sqrt(r_i)
-        s_h = np.sqrt(r_h)
-        ul = ul.scale_rows(s_h) @ di(1.0 / s_i)
-        lr = lr.scale_rows(s_i) @ di(1.0 / s_h)
+    s_i = np.sqrt(r_i)
+    s_h = np.sqrt(r_h)
+    ul = ul.scale_rows(s_h) @ di(1.0 / s_i)
+    lr = lr.scale_rows(s_i) @ di(1.0 / s_h)
     return radial._block_csr([[ul, di(ak / (params.m * r_h))],
                               [di(-ak / (params.m * r_i)), lr]])
 
@@ -297,10 +291,7 @@ def _kernel_flat_vector(params: PhysParams, abs_kappa: float,
     """Discretized A-kernel doublet as a unit vector in solver coordinates."""
     _, plus_sector = sector_pair(params, abs_kappa)
     f, g = analytic.kernel_wavefunction(params, plus_sector, grid)
-    if grid.scheme == LOG_UNIFORM:
-        f = f * np.sqrt(grid.nodes)
-        g = g * np.sqrt(grid.nodes_small)
-    v = np.concatenate([f, g])
+    v = np.concatenate([f * np.sqrt(grid.nodes), g * np.sqrt(grid.nodes_small)])
     return v / np.linalg.norm(v)
 
 
@@ -647,7 +638,7 @@ def _match_levels(params: PhysParams, abs_kappa: float,
 
 
 def _pairing_grid(params: PhysParams, plus_sector: KappaSector,
-                  n_points: int, scheme: str, count: int) -> RadialGrid:
+                  n_points: int, count: int) -> RadialGrid:
     """Block default grid widened so the top tested level's tail fits.
 
     default_grid sizes r_max for the nodeless state, but level n' decays
@@ -664,7 +655,7 @@ def _pairing_grid(params: PhysParams, plus_sector: KappaSector,
     unit = plus_sector.abs_kappa / (params.z_alpha * params.m)
     factor = max(60.0, 14.0 / (lam * unit))
     return default_grid(params, plus_sector, n_points=n_points,
-                        scheme=scheme, r_max_factor=factor)
+                        r_max_factor=factor)
 
 
 def spectral_pairing_at(
@@ -672,7 +663,6 @@ def spectral_pairing_at(
     abs_kappa: float,
     grid: RadialGrid = None,
     n_points: int = 800,
-    scheme: str = LOG_UNIFORM,
     count: int = 3,
     tol: float = 1e-5,
 ) -> PairingReport:
@@ -693,7 +683,7 @@ def spectral_pairing_at(
     """
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
     if grid is None:
-        grid = _pairing_grid(params, plus_sector, n_points, scheme, count)
+        grid = _pairing_grid(params, plus_sector, n_points, count)
     plus_pairs = radial.solve_bound_levels(params, plus_sector, grid,
                                            layout=radial.STANDARD,
                                            count=count + 1)
@@ -730,7 +720,6 @@ def kernel_annihilation_report(
     params: PhysParams,
     abs_kappa: float,
     n_points: tuple = (200, 400, 800, 1600),
-    scheme: str = LOG_UNIFORM,
     eta: int | None = None,
 ) -> KernelReport:
     """Measure ||A psi_0|| (interior) under refinement, plus the Rayleigh
@@ -746,8 +735,7 @@ def kernel_annihilation_report(
             f"grid family must have increasing n_points, got {list(n_points)}"
         )
     _, plus_sector = sector_pair(params, abs_kappa)
-    grids = [default_grid(params, plus_sector, n_points=n, scheme=scheme)
-             for n in n_points]
+    grids = [default_grid(params, plus_sector, n_points=n) for n in n_points]
     if eta is None:
         eta = ETA
     residuals = []

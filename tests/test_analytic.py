@@ -17,8 +17,7 @@ from susyh.analytic import (LevelLabel, energy, enumerate_levels,
                             ground_energy, interdimensional_check,
                             kernel_wavefunction, level_scheme_export,
                             nonrel_limit_check)
-from susyh.core import LOG_UNIFORM, PhysParams, default_grid, kappa_of, \
-    make_grid
+from susyh.core import PhysParams, default_grid, kappa_of, make_grid
 from susyh.errors import (InvalidLabelError, NormalizationError,
                           SubcriticalError)
 
@@ -228,7 +227,7 @@ def test_kernel_wavefunction_guards():
     with pytest.raises(NormalizationError):
         kernel_wavefunction(P3, kappa_of(P3, 0, -1), grid)
     unit = sector.abs_kappa / (P3.z_alpha * P3.m)
-    cramped = make_grid(LOG_UNIFORM, 1e-5 * unit, 2.0 * unit, 200)
+    cramped = make_grid(1e-5 * unit, 2.0 * unit, 200)
     with pytest.raises(NormalizationError):
         kernel_wavefunction(P3, sector, cramped)
 

@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from susyh import cli
+from susyh import analytic, cli, clifford
 from susyh.analytic import LevelScheme
 
 
@@ -115,6 +116,17 @@ def test_verify_clifford_only_range(capsys):
     assert dims == {"D2", "D3", "D4", "D5", "D6"}
 
 
+def test_clifford_only_range_is_checked_before_any_work(capsys, monkeypatch):
+    # D = 19 alone costs seconds; D = 20 is past the spinor cap, so the
+    # range must fail before the first check runs.
+    calls = []
+    monkeypatch.setattr(clifford, "verify_clifford",
+                        lambda rep: calls.append(rep.D))
+    rc, out, err = run(capsys, ["verify", "--clifford-only", "--D", "19:20"])
+    assert (rc, out, calls) == (2, "", [])
+    assert err == "error: spinor_dim 2048 exceeds cap 1024 (D <= 19)\n"
+
+
 def test_kernel_default_family(capsys):
     rc, out, _ = run(capsys, ["kernel", "--D", "3", "--format", "json"])
     assert rc == 0
@@ -161,6 +173,30 @@ def test_levels_dataset(capsys):
             assert partner["E_over_m"] == row["E_over_m"]
         else:
             assert row["is_ladder_bottom"] == "true"
+
+
+def test_levels_names_ladders_without_a_unique_bottom(capsys, monkeypatch):
+    # A second bottom in (D, l) = (4, 0) and none in (3, 1): both are named,
+    # ordered by D, then l.
+    def corrupted(family, n_max):
+        scheme = export(family, n_max)
+        rows = []
+        for r in scheme.rows:
+            if r.D == 4 and r.l == 0 and not r.is_ladder_bottom:
+                r = replace(r, is_ladder_bottom=True)
+            elif r.D == 3 and r.l == 1:
+                r = replace(r, is_ladder_bottom=False)
+            rows.append(r)
+        return replace(scheme, rows=tuple(rows))
+
+    export = analytic.level_scheme_export
+    monkeypatch.setattr(analytic, "level_scheme_export", corrupted)
+    rc, out, err = run(capsys, ["levels", "--D", "3:4", "--n-max", "3",
+                                "--format", "json"])
+    assert rc == 1
+    assert json.loads(out)["pass"] is False
+    assert err == ("FAILED: ladders without a unique bottom: "
+                   "[(3, 1), (4, 0)]\n")
 
 
 def test_levels_respects_n_max(capsys):
@@ -219,11 +255,15 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["spectrum", "--D", "2", "--zalpha", "0.4999"], "wall_factor"),
     (["spectrum", "--D", "2", "--zalpha", "0.4996", "--format", "csv"],
      "wall_factor"),
+    (["spectrum", "--D", "3", "--r-max", "0"], "--r-max must be positive"),
+    (["spectrum", "--D", "3", "--r-max", "-5"], "--r-max must be positive"),
+    (["spectrum", "--D", "3", "--r-max", "inf"], "--r-max must be positive"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert needle in err
+    assert "math domain" not in err
 
 
 @pytest.mark.parametrize("argv,failed", [

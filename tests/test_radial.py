@@ -9,8 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from susyh import analytic, radial
-from susyh.core import LOG_UNIFORM, UNIFORM, PhysParams, default_grid, \
-    kappa_of, make_grid
+from susyh.core import PhysParams, default_grid, kappa_of, make_grid
 from susyh.errors import GridError, SpuriousSpectrumError
 from susyh.radial import (STANDARD, SWAPPED, TruncationWarning,
                           build_radial_hamiltonian, convergence_study,
@@ -24,22 +23,8 @@ GROUND = math.sqrt(3) / 2
 FIRST_EXCITED = 0.9659258262890683
 
 
-def test_uniform_grid_layout():
-    g = make_grid(UNIFORM, 1e-3, 50.0, 64)
-    assert g.step == (50.0 - 1e-3) / 65
-    assert np.all(np.diff(g.nodes) > 0)
-    np.testing.assert_allclose(np.diff(g.nodes), g.step, rtol=1e-12)
-    np.testing.assert_allclose(g.nodes - g.nodes_small, g.step / 2, rtol=1e-12)
-    # G nodes interleave the F nodes from below.
-    assert np.all(g.nodes_small < g.nodes)
-    assert np.all(g.nodes[:-1] < g.nodes_small[1:])
-    for w in (g.weights, g.weights_small):
-        assert np.all(w > 0)
-        assert math.isclose(w.sum(), 50.0 - 1e-3, rel_tol=1e-13)
-
-
 def test_log_grid_layout():
-    g = make_grid(LOG_UNIFORM, 1e-5, 60.0, 128)
+    g = make_grid(1e-5, 60.0, 128)
     t = np.log(g.nodes)
     np.testing.assert_allclose(np.diff(t), g.step, rtol=1e-10)
     np.testing.assert_allclose(np.log(g.nodes / g.nodes_small), g.step / 2,
@@ -50,21 +35,25 @@ def test_log_grid_layout():
 
 
 def test_refined_grid():
-    g = make_grid(LOG_UNIFORM, 1e-5, 60.0, 100)
+    g = make_grid(1e-5, 60.0, 100)
     f = g.refined(2)
     assert f.n_points == 200
-    assert (f.r_min, f.r_max, f.scheme) == (g.r_min, g.r_max, g.scheme)
+    assert (f.r_min, f.r_max) == (g.r_min, g.r_max)
     assert 0.49 < f.step / g.step < 0.51
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(scheme="chebyshev", r_min=1e-3, r_max=10.0, n_points=32),
-    dict(scheme=UNIFORM, r_min=0.0, r_max=10.0, n_points=32),
-    dict(scheme=UNIFORM, r_min=10.0, r_max=1.0, n_points=32),
-    dict(scheme=UNIFORM, r_min=1e-3, r_max=10.0, n_points=4),
+    dict(r_min=0.0, r_max=10.0, n_points=32),
+    dict(r_min=10.0, r_max=1.0, n_points=32),
+    dict(r_min=1e-3, r_max=10.0, n_points=4),
+    dict(r_min=1e-3, r_max=math.inf, n_points=32),
 ])
 def test_grid_validation(kwargs):
-    with pytest.raises(ValueError):
+    # The bounds are checked before any logarithm is taken, so no bare
+    # "math domain error" escapes.
+    message = ("n_points must be >= 8" if kwargs["n_points"] < 8
+               else "need 0 < r_min < r_max < inf")
+    with pytest.raises(ValueError, match=message):
         make_grid(**kwargs)
 
 
@@ -95,12 +84,11 @@ def test_default_grid_scales_with_sector():
         default_grid(PhysParams(D=3, z_alpha=0.0, allow_free=True), SECTOR_P)
 
 
-@pytest.mark.parametrize("scheme", [UNIFORM, LOG_UNIFORM])
 @pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_hamiltonian_exactly_symmetric(scheme, layout, sign):
+def test_hamiltonian_exactly_symmetric(layout, sign):
     sector = kappa_of(P3, 0, sign)
-    grid = default_grid(P3, sector, n_points=60, scheme=scheme)
+    grid = default_grid(P3, sector, n_points=60)
     op = build_radial_hamiltonian(P3, sector, grid, layout=layout)
     assert np.array_equal(op.matrix, op.matrix.T)
 
@@ -143,15 +131,14 @@ def _cross_block(grid, kappa):
 
 def test_banded_assembly_matches_dense():
     # The O(n) band path must produce the same floats as extracting bands
-    # from the assembled matrix, for both layouts and both schemes.
-    for scheme in (UNIFORM, LOG_UNIFORM):
-        for layout, sector in ((STANDARD, SECTOR_P), (SWAPPED, SECTOR_M)):
-            grid = default_grid(P3, SECTOR_P, n_points=50, scheme=scheme)
-            op = build_radial_hamiltonian(P3, sector, grid, layout=layout)
-            d_ref, e_ref = _interleaved_bands(op)
-            d, e = radial._sector_bands(P3, sector, grid, layout)
-            assert np.array_equal(d, d_ref)
-            assert np.array_equal(e, e_ref)
+    # from the assembled matrix, for both layouts.
+    for layout, sector in ((STANDARD, SECTOR_P), (SWAPPED, SECTOR_M)):
+        grid = default_grid(P3, SECTOR_P, n_points=50)
+        op = build_radial_hamiltonian(P3, sector, grid, layout=layout)
+        d_ref, e_ref = _interleaved_bands(op)
+        d, e = radial._sector_bands(P3, sector, grid, layout)
+        assert np.array_equal(d, d_ref)
+        assert np.array_equal(e, e_ref)
 
 
 def _dense_hamiltonian(params, sector, grid, layout):
@@ -172,15 +159,14 @@ def _dense_hamiltonian(params, sector, grid, layout):
     return mat
 
 
-@pytest.mark.parametrize("scheme", [UNIFORM, LOG_UNIFORM])
-def test_sector_csr_matches_dense_assembly(scheme):
+def test_sector_csr_matches_dense_assembly():
     # Same floats entry by entry (the old swapped assembly negated its zeros
     # to -0.0, which compare equal); at most 3 stored entries per row.
     for D, l, sign, layout in itertools.product(
             (2, 3, 5), (0, 1), (1, -1), (STANDARD, SWAPPED)):
         params = PhysParams(D=D, z_alpha=0.4 if D == 2 else 0.5)
         sector = kappa_of(params, l, sign)
-        grid = default_grid(params, sector, n_points=70, scheme=scheme)
+        grid = default_grid(params, sector, n_points=70)
         csr = radial._sector_csr(params, sector, grid, layout)
         ref = _dense_hamiltonian(params, sector, grid, layout)
         assert np.array_equal(csr.toarray(), ref)
@@ -252,7 +238,7 @@ def test_truncation_warning_when_too_few_levels():
 def test_free_limit_has_no_bound_states():
     p = PhysParams(D=3, z_alpha=0.0, allow_free=True)
     sector = kappa_of(p, 0, 1)
-    grid = make_grid(UNIFORM, 0.01, 30.0, 200)
+    grid = make_grid(0.01, 30.0, 200)
     with pytest.warns(TruncationWarning):
         pairs = solve_bound_levels(p, sector, grid, count=2)
     assert pairs == []
@@ -398,10 +384,9 @@ def _assert_matches_reference(ref, ref_warned, got, got_warned):
 @pytest.mark.parametrize("l", range(3))
 def test_lazy_window_solve_matches_reference(D, l):
     p = PhysParams(D=D, z_alpha=0.2 * (D - 1))
-    for sign, layout, scheme in itertools.product(
-            (1, -1), (STANDARD, SWAPPED), (UNIFORM, LOG_UNIFORM)):
+    for sign, layout in itertools.product((1, -1), (STANDARD, SWAPPED)):
         sector = kappa_of(p, l, sign)
-        grid = default_grid(p, sector, n_points=150, scheme=scheme)
+        grid = default_grid(p, sector, n_points=150)
         window = _reference_window(
             *radial._sector_bands(p, sector, grid, layout), p.m)[0].size
         for count in (1, 3, window + 2):
@@ -433,6 +418,37 @@ def test_rejection_extends_past_requested_levels(monkeypatch, count):
     _assert_matches_reference(ref, [], got, [])
     # The ground state was rejected, so the lowest kept level is n' = 1.
     assert abs(got[0].energy - FIRST_EXCITED) < 1e-4
+
+
+def _reject_first_by_stability(monkeypatch):
+    # The window takes the first two Sturm counts; the third is the doubled
+    # grid's count around the lowest candidate, and an empty count there
+    # rejects it as unstable.
+    calls = itertools.count()
+    original = radial._count_in
+    monkeypatch.setattr(radial, "_count_in",
+                        lambda *args: 0 if next(calls) == 2 else original(*args))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_stability_rejection_extends_past_requested_levels(monkeypatch, count):
+    # On log grids no level of the reference sweep fails the stability
+    # check, so a rejection is forced; it must keep the same levels as a
+    # rejection by the alternation filter.
+    grid = default_grid(P3, SECTOR_P, n_points=200)
+    runs = []
+    for reject in (_reject_first_candidate, _reject_first_by_stability):
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reject(patch)
+            runs.append(solve_bound_levels(P3, SECTOR_P, grid, count=count))
+    by_filter, by_stability = runs
+    assert len(by_stability) == len(by_filter) == count
+    for got, ref in zip(by_stability, by_filter):
+        assert got.energy == ref.energy
+        assert np.array_equal(got.doublet[0], ref.doublet[0])
+        assert np.array_equal(got.doublet[1], ref.doublet[1])
+    assert abs(by_stability[0].energy - FIRST_EXCITED) < 1e-4
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-300])

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from susyh import radial, susy
-from susyh.core import UNIFORM, PhysParams, default_grid
+from susyh.core import PhysParams, default_grid
 from susyh.errors import ConventionError, PairingError
 from susyh.susy import (build_A, build_supercharges, build_susy_block,
                         interior_norm, kernel_annihilation_report,
@@ -128,14 +128,6 @@ def test_derived_eta_matches_refinement_race_on_bench_blocks():
         block = build_A(build_susy_block(params, ak, grid=grid),
                         check_alternate=False)
         assert block.eta == susy.ETA == 1
-
-
-def test_derived_eta_on_uniform_scheme():
-    # The kernel wavefunction does not fit the uniform grid's wall, so the
-    # race could not score either sign there; the derived sign needs no
-    # zero-mode sample.
-    block = build_susy_block(P3, 1.0, n_points=80, scheme=UNIFORM)
-    assert build_A(block, check_alternate=False).eta == 1
 
 
 def test_explicit_eta_reproduces_pinned_assembly():
@@ -268,11 +260,11 @@ def test_pairing_grid_widens_for_slow_tails():
     # blocks whose tails already fit must keep the stock grid bitwise.
     p2 = _params(2)
     _, plus = sector_pair(p2, 0.5)
-    widened = susy._pairing_grid(p2, plus, 800, susy.LOG_UNIFORM, 3)
+    widened = susy._pairing_grid(p2, plus, 800, 3)
     unit = 0.5 / (p2.z_alpha * p2.m)
     assert widened.nodes[-1] > 85.0 * unit
     _, plus3 = sector_pair(P3, 1.0)
-    stock = susy._pairing_grid(P3, plus3, 800, susy.LOG_UNIFORM, 3)
+    stock = susy._pairing_grid(P3, plus3, 800, 3)
     assert np.array_equal(stock.nodes, default_grid(P3, plus3, 800).nodes)
 
 
@@ -521,13 +513,12 @@ def test_sparse_a_mp_equals_dense_formula(case):
     D, ak = case
     params = _params(D)
     _, plus_sector = sector_pair(params, ak)
-    for scheme in (susy.LOG_UNIFORM, susy.UNIFORM):
-        grid = default_grid(params, plus_sector, n_points=70, scheme=scheme)
-        plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
-        for eta in (1, -1):
-            a_mp = susy._assemble_a_mp(params, ak, grid, eta)
-            assert sp.issparse(a_mp) and a_mp.nnz <= 3 * 2 * grid.n_points
-            assert np.array_equal(a_mp.toarray(), _dense_a_mp(plus, eta, ak))
+    grid = default_grid(params, plus_sector, n_points=70)
+    plus = radial.build_radial_hamiltonian(params, plus_sector, grid)
+    for eta in (1, -1):
+        a_mp = susy._assemble_a_mp(params, ak, grid, eta)
+        assert sp.issparse(a_mp) and a_mp.nnz <= 3 * 2 * grid.n_points
+        assert np.array_equal(a_mp.toarray(), _dense_a_mp(plus, eta, ak))
 
 
 @pytest.mark.parametrize("case", [(2, 0.5), (3, 1.0), (4, 2.5)])
@@ -693,10 +684,7 @@ def _scipy_alternate_a_mp(params, abs_kappa, grid, eta):
     gap_ih[1:] = np.diff(r_i)
     inv = 1.0 / gap_ih
     d_ih = _sparse_bidiag(inv, sub=-inv[1:])
-    if grid.scheme == susy.LOG_UNIFORM:
-        r_h_top = r_h[-1] ** 2 / r_h[-2]
-    else:
-        r_h_top = 2 * r_h[-1] - r_h[-2]
+    r_h_top = r_h[-1] ** 2 / r_h[-2]
     gap_hi = np.empty(n)
     gap_hi[:-1] = np.diff(r_h)
     gap_hi[-1] = r_h_top - r_h[-1]
@@ -723,12 +711,11 @@ def _scipy_alternate_a_mp(params, abs_kappa, grid, eta):
                                            r_i, r_h))).tocsr()
     lr = (eta * (avg_hi + scale * w_blocks(-ak, d_hi, d_ih, avg_hi, avg_ih,
                                            r_h, r_i))).tocsr()
-    if grid.scheme == susy.LOG_UNIFORM:
-        s_i = np.sqrt(r_i)
-        s_h = np.sqrt(r_h)
-        for blk, s_row, s_col in ((ul, s_h, s_i), (lr, s_i, s_h)):
-            rows = np.repeat(np.arange(n), np.diff(blk.indptr))
-            blk.data = (s_row[rows] * blk.data) / s_col[blk.indices]
+    s_i = np.sqrt(r_i)
+    s_h = np.sqrt(r_h)
+    for blk, s_row, s_col in ((ul, s_h, s_i), (lr, s_i, s_h)):
+        rows = np.repeat(np.arange(n), np.diff(blk.indptr))
+        blk.data = (s_row[rows] * blk.data) / s_col[blk.indices]
     return sp.bmat([[ul, di(ak / (params.m * r_h))],
                     [di(-ak / (params.m * r_i)), lr]], format="csr")
 
@@ -743,14 +730,13 @@ def test_alternate_assembly_matches_scipy_composition(case):
     D, ak = case
     params = _params(D)
     _, plus_sector = sector_pair(params, ak)
-    for scheme in (susy.LOG_UNIFORM, susy.UNIFORM):
-        grid = default_grid(params, plus_sector, n_points=70, scheme=scheme)
-        for eta in (1, -1):
-            alt = susy.alternate_a_mp(params, ak, grid, eta)
-            assert sp.issparse(alt) and alt.format == "csr"
-            got = alt.toarray()
-            ref = _scipy_alternate_a_mp(params, ak, grid, eta).toarray()
-            assert np.all(np.abs(got - ref) <= ALTERNATE_RTOL * np.abs(ref))
+    grid = default_grid(params, plus_sector, n_points=70)
+    for eta in (1, -1):
+        alt = susy.alternate_a_mp(params, ak, grid, eta)
+        assert sp.issparse(alt) and alt.format == "csr"
+        got = alt.toarray()
+        ref = _scipy_alternate_a_mp(params, ak, grid, eta).toarray()
+        assert np.all(np.abs(got - ref) <= ALTERNATE_RTOL * np.abs(ref))
 
 
 # --- _bound_columns takes only the levels it uses from the window. ---
