@@ -18,10 +18,8 @@ verification), cli (command-line front end).
 from .clifford import (
     CliffordReport,
     GammaRep,
+    Monomial,
     build_gamma_rep,
-    gamma_rep_to_json,
-    spin_generator,
-    spin_operator,
     verify_clifford,
 )
 from .core import (
@@ -82,8 +80,8 @@ from .errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "CliffordReport", "GammaRep", "build_gamma_rep", "gamma_rep_to_json",
-    "spin_generator", "spin_operator", "verify_clifford",
+    "CliffordReport", "GammaRep", "Monomial", "build_gamma_rep",
+    "verify_clifford",
     "KappaSector", "PhysParams", "RadialGrid",
     "default_grid", "kappa_of", "make_grid",
     "LevelLabel", "LevelScheme", "SpectrumTable", "energy",

@@ -267,7 +267,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
     D = _single_d(cfg)
     params = _make_params(cfg, D)
     abs_kappa = cfg.abs_kappa if cfg.abs_kappa is not None else (D - 1) / 2
-    family = cfg.grid_points if len(cfg.grid_points) >= 2 else KERNEL_FAMILY
+    family = cfg.grid_points or KERNEL_FAMILY
     report = susy.kernel_annihilation_report(params, abs_kappa,
                                              n_points=family)
     passed = report.passed(min_order=cfg.min_order)
@@ -321,7 +321,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     D = _single_d(cfg)
     params = _make_params(cfg, D)
     sector = kappa_of(params, cfg.l, cfg.sign)
-    points = cfg.grid_points if len(cfg.grid_points) >= 2 else (200, 400, 800)
+    points = cfg.grid_points or (200, 400, 800)
     grids = [_grid_for(cfg, params, sector, n) for n in points]
     report = radial.convergence_study(params, sector, grids, count=cfg.levels)
     passed = report.min_fitted_order >= cfg.min_order
@@ -424,8 +424,13 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
             else (DEFAULT_D,)
     else:
         d_values = _parse_d_range(ns.D)
-    grid_points = _parse_points(ns.grid_points) if getattr(
-        ns, "grid_points", None) else ()
+    grid_points = _parse_points(ns.grid_points) if ns.grid_points else ()
+    family = ns.command in ("kernel", "convergence")
+    if (grid_points and ns.command != "levels"
+            and family != (len(grid_points) > 1)):
+        shape = "a comma list of two or more sizes" if family else "one size"
+        raise CLIError(f"{ns.command} --grid-points takes {shape}, "
+                       f"got {ns.grid_points!r}")
     levels = getattr(ns, "levels", 3)
     if levels < 1:
         raise CLIError("--levels must be >= 1")

@@ -6,15 +6,10 @@ the +1 block first; the spatial gamma^i are anti-Hermitian.  gamma^{D+1} is
 Hermitian, squares to the identity, and anticommutes with every gamma^mu;
 for odd D it is proportional to the product gamma^0 gamma^1 ... gamma^D.
 
-All entries lie in {0, +-1, +-i}, so every identity below holds exactly in
-complex128 arithmetic, with no rounding at any dimension.
-
-Each gamma matrix has exactly one nonzero per row (a signed permutation, up
-to factors of i), so row i of a product a @ b is value[i] * b[column[i]]:
-one exact multiplication per entry, the same values as the O(d^3) matrix
-product up to the sign of a zero, in O(d^2).  verify_clifford forms its
-products this way and falls back to `@` for a matrix of any other shape,
-since it accepts any caller-built GammaRep.
+Each gamma matrix has exactly one nonzero per row (a signed permutation up
+to factors of i), so it is stored as a Monomial of O(d) numbers for spinor
+size d, and products, adjoints and equality tests cost O(d).  All values
+lie in {+-1, +-i}, so every identity below holds exactly in complex128.
 """
 
 from __future__ import annotations
@@ -23,43 +18,106 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-MAX_SPINOR_DIM = 1024  # caps D at 19
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """d x d matrix with one nonzero per row: entry (i, cols[i]) is vals[i].
+
+    cols must be a permutation of range(d) and vals nonzero and finite, so
+    equal cols and vals mean equal dense matrices.  Both arrays are read-only
+    copies.  A product whose values over- or underflow raises ValueError.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        cols = np.array(self.cols)
+        vals = np.array(self.vals, dtype=complex)
+        d = cols.size
+        # Bounds before bincount, which allocates max(cols) + 1 counters.
+        if not (cols.ndim == 1 and cols.dtype.kind in "iu"
+                and 0 <= cols.min(initial=0) and cols.max(initial=0) < d
+                and np.bincount(cols.astype(np.intp), minlength=d).all()):
+            raise ValueError("Monomial cols must be a permutation of range(d)")
+        if not (vals.shape == cols.shape and np.count_nonzero(vals) == d
+                and np.isfinite(vals).all()):
+            raise ValueError("Monomial vals must be d nonzero finite numbers")
+        cols = cols.astype(np.intp, copy=False)
+        for name, arr in (("cols", cols), ("vals", vals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __matmul__(self, other: Monomial) -> Monomial:
+        return Monomial(other.cols[self.cols],
+                        self.vals * other.vals[self.cols])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Monomial)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.vals, other.vals))
+
+    def adjoint(self) -> Monomial:
+        """Conjugate transpose: entry (cols[i], i) becomes conj(vals[i])."""
+        inverse = np.argsort(self.cols)
+        return Monomial(inverse, self.vals[inverse].conj())
+
+    def kron(self, other: Monomial) -> Monomial:
+        """Kronecker product self (x) other, row i * d_other + k."""
+        d = other.cols.size
+        return Monomial(np.add.outer(self.cols * d, other.cols).ravel(),
+                        np.outer(self.vals, other.vals).ravel())
+
+    def toarray(self) -> np.ndarray:
+        """The dense d x d complex matrix."""
+        d = self.cols.size
+        out = np.zeros((d, d), dtype=complex)
+        out[np.arange(d), self.cols] = self.vals
+        return out
+
+
+def _identity(d: int) -> Monomial:
+    return Monomial(np.arange(d), np.ones(d))
+
+
+_SIGMA1 = Monomial([1, 0], [1, 1])
+_SIGMA2 = Monomial([1, 0], [-1j, 1j])
+_SIGMA3 = Monomial([0, 1], [1, -1])
+_I_SIGMA1 = Monomial([1, 0], [1j, 1j])
+
+MAX_SPINOR_DIM = 2 ** 16
+MAX_D = 2 * (MAX_SPINOR_DIM.bit_length() - 1) - 1
 
 
 @dataclass(frozen=True)
 class GammaRep:
     """Concrete gamma-matrix representation for D spatial dimensions.
 
-    gammas holds (gamma^0, gamma^1, ..., gamma^D); gamma_chir is gamma^{D+1}.
-    Arrays are read-only; the representation is immutable once built.
+    gammas holds the Monomials (gamma^0, gamma^1, ..., gamma^D); gamma_chir
+    is gamma^{D+1}.  The representation is immutable once built.
     """
 
     D: int
     spinor_dim: int
     gammas: tuple
-    gamma_chir: np.ndarray
+    gamma_chir: Monomial
     metric: np.ndarray
 
     def __post_init__(self):
-        for g in (*self.gammas, self.gamma_chir, self.metric):
-            g.flags.writeable = False
+        self.metric.flags.writeable = False
 
 
 def _euclidean_set(k: int) -> list:
     """k mutually anticommuting Hermitian involutions on dimension 2^(k//2)."""
     if k == 1:
-        return [np.array([[1]], dtype=complex)]
+        return [_identity(1)]
     if k == 2:
-        return [_SIGMA1.copy(), _SIGMA2.copy()]
+        return [_SIGMA1, _SIGMA2]
     inner = _euclidean_set(k - 2)
-    eye = np.eye(inner[0].shape[0], dtype=complex)
-    out = [np.kron(_SIGMA1, e) for e in inner]
-    out.append(np.kron(_SIGMA2, eye))
-    out.append(np.kron(_SIGMA3, eye))
+    eye = _identity(inner[0].cols.size)
+    out = [_SIGMA1.kron(e) for e in inner]
+    out.append(_SIGMA2.kron(eye))
+    out.append(_SIGMA3.kron(eye))
     return out
 
 
@@ -72,9 +130,8 @@ def spinor_dim(D: int) -> int:
         raise ValueError(f"D must be an integer >= 2, got {D!r}")
     dim = 2 ** ((D + 2) // 2)
     if dim > MAX_SPINOR_DIM:
-        raise ValueError(
-            f"spinor_dim {dim} exceeds cap {MAX_SPINOR_DIM} (D <= 19)"
-        )
+        raise ValueError(f"spinor_dim {dim} exceeds cap {MAX_SPINOR_DIM} "
+                         f"(D <= {MAX_D})")
     return dim
 
 
@@ -87,36 +144,11 @@ def build_gamma_rep(D: int) -> GammaRep:
     """
     dim = spinor_dim(D)
     spatial = _euclidean_set(D)
-    eye = np.eye(spatial[0].shape[0], dtype=complex)
-    gamma0 = np.kron(_SIGMA3, eye)
-    gammas = (gamma0, *(1j * np.kron(_SIGMA1, e) for e in spatial))
-    gamma_chir = np.kron(_SIGMA2, eye)
+    eye = _identity(dim // 2)
+    gammas = (_SIGMA3.kron(eye), *(_I_SIGMA1.kron(e) for e in spatial))
     metric = np.diag([1.0] + [-1.0] * D)
     return GammaRep(D=D, spinor_dim=dim, gammas=gammas,
-                    gamma_chir=gamma_chir, metric=metric)
-
-
-def spin_generator(rep: GammaRep, a: int, b: int) -> np.ndarray:
-    """Rotation generator Sigma_ab = (i/2) gamma^a gamma^b for 1 <= a < b <= D.
-
-    Hermitian with exact Gaussian-integer entries; the commutators close on
-    the so(D) algebra [Sigma_ab, Sigma_cd] =
-    -i (d_bc Sigma_ad - d_ac Sigma_bd - d_bd Sigma_ac + d_ad Sigma_bc).
-    """
-    if not (1 <= a < b <= rep.D):
-        raise IndexError(f"need 1 <= a < b <= D = {rep.D}, got a={a}, b={b}")
-    return 0.5j * (rep.gammas[a] @ rep.gammas[b])
-
-
-def spin_operator(rep: GammaRep, i: int) -> np.ndarray:
-    """sigma^i = gamma^{D+1} gamma^0 gamma^i for 1 <= i <= D.
-
-    Hermitian, squares to the identity, and satisfies
-    sigma^a sigma^b = 2i Sigma_ab for a != b (phase fixed by this rep).
-    """
-    if not (1 <= i <= rep.D):
-        raise IndexError(f"need 1 <= i <= D = {rep.D}, got i={i}")
-    return rep.gamma_chir @ rep.gammas[0] @ rep.gammas[i]
+                    gamma_chir=_SIGMA2.kron(eye), metric=metric)
 
 
 EXACT_EQUALITY = "exact_equality"
@@ -151,84 +183,48 @@ class CliffordReport:
         }
 
 
-def _row_nonzeros(a: np.ndarray) -> tuple | None:
-    """(column, value) of the single nonzero in each row of a, or None when
-    some row has another count of nonzeros or an entry is not finite."""
-    rows, cols = np.nonzero(a)
-    if not (np.array_equal(rows, np.arange(a.shape[0]))
-            and np.isfinite(a).all()):
-        return None
-    return cols, a[rows, cols]
+def _sum_is_scalar(p: Monomial, q: Monomial, c: complex) -> bool:
+    """Whether the dense sum p + q is c times the identity.  A row where p
+    and q differ in column holds two nonzeros, so cols must agree."""
+    s = p.vals + q.vals
+    on_diagonal = p.cols == np.arange(p.cols.size)
+    fits = np.where(on_diagonal, s == c, (s == 0) & (c == 0))
+    return bool(np.array_equal(p.cols, q.cols) and fits.all())
 
 
 def verify_clifford(rep: GammaRep) -> CliffordReport:
-    """Check every defining identity exactly (bitwise array equality).
+    """Check every defining identity exactly.
 
     Covered: all (D+1)(D+2)/2 anticommutators {gamma^mu, gamma^nu} = 2 g^{mu nu},
     hermiticity of gamma^0 / anti-hermiticity of gamma^i, the three gamma^{D+1}
     identities, and for odd D the proportionality of gamma^{D+1} to the product
-    of all gammas with a unimodular phase.
+    of all gammas with a unimodular phase.  Each row passes exactly when the
+    same identity holds entrywise for the dense matrices (toarray()).
     """
     rows = []
-    eye = np.eye(rep.spinor_dim, dtype=complex)
-    gs = rep.gammas
-    ch = rep.gamma_chir
-    mats = (*gs, ch)
-    forms = [_row_nonzeros(g) for g in mats]
-
-    def times(i: int, j: int) -> np.ndarray:
-        """mats[i] @ mats[j], as a row gather when mats[i] allows it."""
-        if forms[i] is None:
-            return mats[i] @ mats[j]
-        cols, vals = forms[i]
-        out = mats[j].take(cols, axis=0)
-        out *= vals[:, None]
-        return out
-
+    gs, ch = rep.gammas, rep.gamma_chir
     for mu in range(rep.D + 1):
         for nu in range(mu, rep.D + 1):
-            anti = times(mu, nu) + times(nu, mu)
-            want = 2.0 * rep.metric[mu, nu] * eye
-            rows.append(CheckRow(
-                name=f"anticommutator_{mu}_{nu}",
-                passed=bool(np.array_equal(anti, want)),
-            ))
-    rows.append(CheckRow("hermitian_gamma0",
-                         bool(np.array_equal(gs[0].conj().T, gs[0]))))
+            rows.append(CheckRow(f"anticommutator_{mu}_{nu}", _sum_is_scalar(
+                gs[mu] @ gs[nu], gs[nu] @ gs[mu], 2.0 * rep.metric[mu, nu])))
+    rows.append(CheckRow("hermitian_gamma0", gs[0].adjoint() == gs[0]))
     for i in range(1, rep.D + 1):
-        rows.append(CheckRow(f"antihermitian_gamma{i}",
-                             bool(np.array_equal(gs[i].conj().T, -gs[i]))))
-    chir = rep.D + 1
-    rows.append(CheckRow("chirality_hermitian",
-                         bool(np.array_equal(ch.conj().T, ch))))
+        rows.append(CheckRow(f"antihermitian_gamma{i}", gs[i].adjoint()
+                             == Monomial(gs[i].cols, -gs[i].vals)))
+    rows.append(CheckRow("chirality_hermitian", ch.adjoint() == ch))
     rows.append(CheckRow("chirality_squares_to_identity",
-                         bool(np.array_equal(times(chir, chir), eye))))
+                         ch @ ch == _identity(rep.spinor_dim)))
     for mu in range(rep.D + 1):
-        anti = times(chir, mu) + times(mu, chir)
         rows.append(CheckRow(f"chirality_anticommutes_gamma{mu}",
-                             bool(np.array_equal(anti, np.zeros_like(anti)))))
+                             _sum_is_scalar(ch @ gs[mu], gs[mu] @ ch, 0.0)))
     if rep.D % 2 == 1:
-        # Kept on `@`: a row gather gives other signs of zero, which reach
-        # the phase printed in detail (D = 5 would print (1+0j), not (1-0j)).
-        prod = gs[0].copy()
+        prod = gs[0]
         for g in gs[1:]:
             prod = prod @ g
-        nz = np.flatnonzero(ch)
-        phase = ch.flat[nz[0]] / prod.flat[nz[0]]
-        ok = abs(phase) == 1.0 and np.array_equal(ch, phase * prod)
-        rows.append(CheckRow("chirality_proportional_to_gamma_product", bool(ok),
+        # Adding zero prints each signed zero of the phase as +0.
+        phase = ch.vals[0] / prod.vals[0] + 0
+        ok = bool(abs(phase) == 1.0 and np.array_equal(ch.cols, prod.cols)
+                  and np.array_equal(ch.vals, phase * prod.vals))
+        rows.append(CheckRow("chirality_proportional_to_gamma_product", ok,
                              detail=f"phase {phase}"))
     return CliffordReport(D=rep.D, spinor_dim=rep.spinor_dim, rows=tuple(rows))
-
-
-def gamma_rep_to_json(rep: GammaRep) -> dict:
-    """JSON-ready dict: entries as [re, im] pairs, matrices as row lists."""
-    def encode(mat):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-    return {
-        "D": rep.D,
-        "spinor_dim": rep.spinor_dim,
-        "gammas": [encode(g) for g in rep.gammas],
-        "gamma_chir": encode(rep.gamma_chir),
-    }

@@ -117,14 +117,14 @@ def test_verify_clifford_only_range(capsys):
 
 
 def test_clifford_only_range_is_checked_before_any_work(capsys, monkeypatch):
-    # D = 19 alone costs seconds; D = 20 is past the spinor cap, so the
-    # range must fail before the first check runs.
+    # D = 31 alone costs about a second; D = 32 is past the spinor cap, so
+    # the range must fail before the first check runs.
     calls = []
     monkeypatch.setattr(clifford, "verify_clifford",
                         lambda rep: calls.append(rep.D))
-    rc, out, err = run(capsys, ["verify", "--clifford-only", "--D", "19:20"])
+    rc, out, err = run(capsys, ["verify", "--clifford-only", "--D", "31:32"])
     assert (rc, out, calls) == (2, "", [])
-    assert err == "error: spinor_dim 2048 exceeds cap 1024 (D <= 19)\n"
+    assert err == "error: spinor_dim 131072 exceeds cap 65536 (D <= 31)\n"
 
 
 def test_kernel_default_family(capsys):
@@ -258,6 +258,14 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["spectrum", "--D", "3", "--r-max", "0"], "--r-max must be positive"),
     (["spectrum", "--D", "3", "--r-max", "-5"], "--r-max must be positive"),
     (["spectrum", "--D", "3", "--r-max", "inf"], "--r-max must be positive"),
+    (["convergence", "--D", "3", "--grid-points", "10"],
+     "convergence --grid-points takes a comma list of two or more sizes"),
+    (["kernel", "--D", "3", "--grid-points", "200"],
+     "kernel --grid-points takes a comma list of two or more sizes"),
+    (["spectrum", "--D", "3", "--grid-points", "200,400"],
+     "spectrum --grid-points takes one size"),
+    (["verify", "--D", "3", "--grid-points", "200,400"],
+     "verify --grid-points takes one size"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)

@@ -2,20 +2,20 @@
 
 All representation entries lie in {0, +-1, +-i} and the generators have
 entries in {0, +-1/2, +-i/2}, so products and sums below are exact in
-complex128; tests therefore use array_equal, not allclose.
+complex128; tests therefore use array_equal, not allclose.  Dense matrices
+come from Monomial.toarray() and serve as the reference.
 """
 
 import numpy as np
 import pytest
 
 from susyh import clifford
-from susyh.clifford import (GammaRep, build_gamma_rep, gamma_rep_to_json,
-                            spin_generator, spin_operator, verify_clifford)
+from susyh.clifford import GammaRep, Monomial, build_gamma_rep, verify_clifford
 
-EXACT_ENTRIES = np.array([0, 1, -1, 1j, -1j])
+UNIT_ENTRIES = np.array([1, -1, 1j, -1j])
 
 
-@pytest.mark.parametrize("D", range(2, 16))
+@pytest.mark.parametrize("D", range(2, 26))
 def test_all_identities_pass(D):
     report = verify_clifford(build_gamma_rep(D))
     assert report.all_passed
@@ -31,21 +31,30 @@ def test_spinor_dimension(D, dim):
     rep = build_gamma_rep(D)
     assert rep.spinor_dim == dim == 2 ** ((D + 2) // 2)
     for g in (*rep.gammas, rep.gamma_chir):
-        assert g.shape == (dim, dim)
+        assert g.cols.shape == g.vals.shape == (dim,)
+        assert g.toarray().shape == (dim, dim)
     assert len(rep.gammas) == D + 1
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3, 20, 2.0, "3"])
+@pytest.mark.parametrize("bad", [1, 0, -3, 32, 2.0, "3"])
 def test_rejects_bad_dimension(bad):
     with pytest.raises(ValueError):
         build_gamma_rep(bad)
+
+
+def test_cap_bound_follows_the_constant():
+    assert clifford.MAX_D == 31
+    assert clifford.spinor_dim(clifford.MAX_D) == clifford.MAX_SPINOR_DIM
+    with pytest.raises(ValueError, match=r"\(D <= 31\)"):
+        clifford.spinor_dim(clifford.MAX_D + 1)
 
 
 @pytest.mark.parametrize("D", [2, 3, 6, 9])
 def test_entries_are_gaussian_units(D):
     rep = build_gamma_rep(D)
     for g in (*rep.gammas, rep.gamma_chir):
-        assert np.isin(g, EXACT_ENTRIES).all()
+        assert np.isin(g.vals, UNIT_ENTRIES).all()
+        assert np.isin(g.toarray(), [0, *UNIT_ENTRIES]).all()
 
 
 def test_metric_signature():
@@ -56,9 +65,43 @@ def test_metric_signature():
 def test_arrays_immutable():
     rep = build_gamma_rep(3)
     with pytest.raises(ValueError):
-        rep.gammas[1][0, 0] = 7.0
+        rep.gammas[1].cols[0] = 2
     with pytest.raises(ValueError):
-        rep.gamma_chir[0, 0] = 7.0
+        rep.gammas[1].vals[0] = 7.0
+    with pytest.raises(ValueError):
+        rep.gamma_chir.vals[0] = 7.0
+    with pytest.raises(ValueError):
+        rep.metric[0, 0] = 7.0
+    # Any integer dtype is accepted; the constructor copies, so the
+    # caller's arrays stay its own.
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert Monomial(np.array([1, 0], dtype=dtype), [1, 1]).cols.dtype \
+            == np.intp
+    cols, vals = np.array([1, 0]), np.array([1j, 1j])
+    m = Monomial(cols, vals)
+    vals[0] = 5
+    assert m.vals[0] == 1j and cols.flags.writeable
+
+
+@pytest.mark.parametrize("cols,vals", [
+    ([0, 0], [1, 1]),            # repeated column
+    ([0, 2], [1, 1]),            # column out of range
+    ([-1, 0], [1, 1]),           # negative column
+    ([0.0, 1.0], [1, 1]),        # non-integer columns
+    ([[0, 1]], [[1, 1]]),        # not one-dimensional
+    ([1, 0], [1, 0]),            # zero value
+    ([1, 0], [1, np.nan]),       # value not finite
+    ([1, 0], [np.inf * 1j, 1]),  # value not finite
+    ([1, 0], [1, 1, 1]),         # one value per row
+])
+def test_monomial_rejects_what_is_not_a_monomial(cols, vals):
+    with pytest.raises(ValueError, match="Monomial"):
+        Monomial(cols, vals)
+
+
+def _spin_generator(rep, a, b):
+    # Sigma_ab = (i/2) gamma^a gamma^b, Hermitian with entries in +-1/2, +-i/2.
+    return 0.5j * (rep.gammas[a] @ rep.gammas[b]).toarray()
 
 
 def _sigma(rep, a, b):
@@ -66,8 +109,8 @@ def _sigma(rep, a, b):
     if a == b:
         return np.zeros((rep.spinor_dim, rep.spinor_dim), dtype=complex)
     if a < b:
-        return spin_generator(rep, a, b)
-    return -spin_generator(rep, b, a)
+        return _spin_generator(rep, a, b)
+    return -_spin_generator(rep, b, a)
 
 
 @pytest.mark.parametrize("D", [3, 4, 5])
@@ -78,9 +121,9 @@ def test_so_d_commutators_close_exactly(D):
     delta = np.eye(D + 1)
     pairs = [(a, b) for a in range(1, D + 1) for b in range(a + 1, D + 1)]
     for a, b in pairs:
-        s_ab = spin_generator(rep, a, b)
+        s_ab = _spin_generator(rep, a, b)
         for c, d in pairs:
-            s_cd = spin_generator(rep, c, d)
+            s_cd = _spin_generator(rep, c, d)
             lhs = s_ab @ s_cd - s_cd @ s_ab
             rhs = -1j * (delta[b, c] * _sigma(rep, a, d)
                          - delta[a, c] * _sigma(rep, b, d)
@@ -91,12 +134,12 @@ def test_so_d_commutators_close_exactly(D):
 
 def test_commutator_spot_check():
     rep = build_gamma_rep(3)
-    s12, s23, s13 = (spin_generator(rep, *ab) for ab in ((1, 2), (2, 3), (1, 3)))
+    s12, s23, s13 = (_spin_generator(rep, *ab) for ab in ((1, 2), (2, 3), (1, 3)))
     assert np.array_equal(s12 @ s23 - s23 @ s12, -1j * s13)
 
 
 def test_generator_spectrum_is_spin_half():
-    s12 = spin_generator(build_gamma_rep(3), 1, 2)
+    s12 = _spin_generator(build_gamma_rep(3), 1, 2)
     assert np.array_equal(s12.conj().T, s12)
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(s12)),
                                [-0.5, -0.5, 0.5, 0.5], atol=1e-14)
@@ -104,41 +147,34 @@ def test_generator_spectrum_is_spin_half():
 
 def test_generator_squares_to_quarter_identity():
     rep = build_gamma_rep(2)
-    s12 = spin_generator(rep, 1, 2)
+    s12 = _spin_generator(rep, 1, 2)
     assert np.array_equal(s12 @ s12, 0.25 * np.eye(rep.spinor_dim))
 
 
 @pytest.mark.parametrize("D", [2, 3, 5])
 def test_spin_operators(D):
+    # sigma^i = gamma^{D+1} gamma^0 gamma^i: Hermitian, squares to the
+    # identity, and sigma^a sigma^b = 2i Sigma_ab for a != b.
     rep = build_gamma_rep(D)
     eye = np.eye(rep.spinor_dim)
-    sigmas = [spin_operator(rep, i) for i in range(1, D + 1)]
+    sigmas = [(rep.gamma_chir @ rep.gammas[0] @ rep.gammas[i]).toarray()
+              for i in range(1, D + 1)]
     for s in sigmas:
         assert np.array_equal(s.conj().T, s)
         assert np.array_equal(s @ s, eye + 0j)
     for a in range(1, D + 1):
         for b in range(a + 1, D + 1):
-            want = 2j * spin_generator(rep, a, b)
+            want = 2j * _spin_generator(rep, a, b)
             assert np.array_equal(sigmas[a - 1] @ sigmas[b - 1], want)
-
-
-def test_index_bounds():
-    rep = build_gamma_rep(4)
-    for args in ((0, 1), (2, 2), (3, 1), (1, 5)):
-        with pytest.raises(IndexError):
-            spin_generator(rep, *args)
-    for i in (0, 5, -1):
-        with pytest.raises(IndexError):
-            spin_operator(rep, i)
 
 
 def test_tampered_representation_fails():
     # Duplicating gamma^1 in the gamma^2 slot breaks {g1, g2} = 0.
     rep = build_gamma_rep(3)
-    gammas = list(g.copy() for g in rep.gammas)
-    gammas[2] = gammas[1].copy()
+    gammas = list(rep.gammas)
+    gammas[2] = gammas[1]
     bad = GammaRep(D=rep.D, spinor_dim=rep.spinor_dim, gammas=tuple(gammas),
-                   gamma_chir=rep.gamma_chir.copy(), metric=rep.metric.copy())
+                   gamma_chir=rep.gamma_chir, metric=rep.metric.copy())
     report = verify_clifford(bad)
     assert not report.all_passed
     assert any(r.name == "anticommutator_1_2" and not r.passed
@@ -147,27 +183,132 @@ def test_tampered_representation_fails():
 
 @pytest.mark.parametrize("D", range(2, 10))
 def test_row_gather_equals_matrix_product(D):
+    # The gammas' permutations commute with each other, so random monomials
+    # join them to tell a @ b from b @ a.
     rep = build_gamma_rep(D)
-    mats = (*rep.gammas, rep.gamma_chir)
+    rng = np.random.default_rng(D)
+    shuffled = [Monomial(rng.permutation(rep.spinor_dim),
+                         rng.choice([*UNIT_ENTRIES, 2, 0.5j], rep.spinor_dim))
+                for _ in range(3)]
+    mats = (*rep.gammas, rep.gamma_chir, *shuffled)
     for a in mats:
-        cols, vals = clifford._row_nonzeros(a)
+        dense_a = a.toarray()
+        assert np.array_equal(a.adjoint().toarray(), dense_a.conj().T)
         for b in mats:
-            assert np.array_equal(vals[:, None] * b[cols], a @ b)
+            assert np.array_equal((a @ b).toarray(), dense_a @ b.toarray())
+        for b in (clifford._SIGMA2, mats[1]):
+            assert np.array_equal(a.kron(b).toarray(),
+                                  np.kron(dense_a, b.toarray()))
+            assert np.array_equal(b.kron(a).toarray(),
+                                  np.kron(b.toarray(), dense_a))
 
 
-def test_non_permutation_falls_back_to_matrix_product():
-    # gamma^1 + gamma^3 has two nonzeros per row, so its products go through
-    # `@`; its square and {., gamma^3} are wrong, and the gamma product is
-    # no longer proportional to gamma^{D+1}.
-    rep = build_gamma_rep(3)
-    gammas = list(g.copy() for g in rep.gammas)
-    gammas[1] = gammas[1] + gammas[3]
-    assert clifford._row_nonzeros(gammas[1]) is None
-    bad = GammaRep(D=rep.D, spinor_dim=rep.spinor_dim, gammas=tuple(gammas),
-                   gamma_chir=rep.gamma_chir.copy(), metric=rep.metric.copy())
-    failed = [r.name for r in verify_clifford(bad).rows if not r.passed]
-    assert failed == ["anticommutator_1_1", "anticommutator_1_3",
-                      "chirality_proportional_to_gamma_product"]
+def _dense_verdicts(rep):
+    """Each identity row checked on the dense matrices with `@` and
+    array_equal: the reference that verify_clifford must agree with."""
+    gs = [g.toarray() for g in rep.gammas]
+    ch = rep.gamma_chir.toarray()
+    eye = np.eye(rep.spinor_dim, dtype=complex)
+    rows = []
+    for mu in range(rep.D + 1):
+        for nu in range(mu, rep.D + 1):
+            anti = gs[mu] @ gs[nu] + gs[nu] @ gs[mu]
+            rows.append((f"anticommutator_{mu}_{nu}", np.array_equal(
+                anti, 2.0 * rep.metric[mu, nu] * eye)))
+    rows.append(("hermitian_gamma0", np.array_equal(gs[0].conj().T, gs[0])))
+    for i in range(1, rep.D + 1):
+        rows.append((f"antihermitian_gamma{i}",
+                     np.array_equal(gs[i].conj().T, -gs[i])))
+    rows.append(("chirality_hermitian", np.array_equal(ch.conj().T, ch)))
+    rows.append(("chirality_squares_to_identity",
+                 np.array_equal(ch @ ch, eye)))
+    for mu in range(rep.D + 1):
+        rows.append((f"chirality_anticommutes_gamma{mu}",
+                     np.array_equal(ch @ gs[mu] + gs[mu] @ ch, 0 * eye)))
+    if rep.D % 2 == 1:
+        prod = gs[0]
+        for g in gs[1:]:
+            prod = prod @ g
+        nz = np.flatnonzero(ch)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phase = ch.flat[nz[0]] / prod.flat[nz[0]]
+        ok = abs(phase) == 1.0 and np.array_equal(ch, phase * prod)
+        rows.append(("chirality_proportional_to_gamma_product", ok))
+    return rows
+
+
+def _tampered(D, slot, change):
+    """build_gamma_rep(D) with gammas[slot] (gamma_chir for slot -1)
+    replaced by change(rep, monomial)."""
+    rep = build_gamma_rep(D)
+    mats = [*rep.gammas, rep.gamma_chir]
+    mats[slot] = change(rep, mats[slot])
+    return GammaRep(D=D, spinor_dim=rep.spinor_dim, gammas=tuple(mats[:-1]),
+                    gamma_chir=mats[-1], metric=rep.metric.copy())
+
+
+def _flip_first(rep, g):
+    return Monomial(g.cols, np.concatenate([-g.vals[:1], g.vals[1:]]))
+
+
+def _swap_first_columns(rep, g):
+    return Monomial(np.concatenate([g.cols[1::-1], g.cols[2:]]), g.vals)
+
+
+def _twisted_pair(rep, g):
+    # A non-unitary gamma^0 that still squares to the identity.
+    vals = g.vals.copy()
+    vals[0], vals[1] = 2.0, 0.5
+    return Monomial([1, 0, *g.cols[2:]], vals)
+
+
+TAMPERED = [
+    ("duplicate gamma1", 3, 2, lambda rep, g: rep.gammas[1]),
+    ("gamma2 doubled", 4, 2, lambda rep, g: Monomial(g.cols, 2 * g.vals)),
+    ("gamma1 negated", 5, 1, lambda rep, g: Monomial(g.cols, -g.vals)),
+    ("gamma3 times i", 5, 3, lambda rep, g: Monomial(g.cols, 1j * g.vals)),
+    ("chirality times i", 5, -1, lambda rep, g: Monomial(g.cols, 1j * g.vals)),
+    ("chirality negated", 7, -1, lambda rep, g: Monomial(g.cols, -g.vals)),
+    ("chirality is gamma0", 3, -1, lambda rep, g: rep.gammas[0]),
+    ("one sign flipped", 5, 2, _flip_first),
+    ("one chirality sign flipped", 3, -1, _flip_first),
+    ("two columns swapped", 4, 1, _swap_first_columns),
+    ("two chirality columns swapped", 5, -1, _swap_first_columns),
+    ("non-unitary gamma0", 3, 0, _twisted_pair),
+    ("gamma0 is the identity", 2, 0, lambda rep, g: clifford._identity(4)),
+]
+
+
+def _off_diagonal_metric(D):
+    # gamma^0 gamma^1 has no diagonal, and {gamma^0, gamma^1} = 0 no longer
+    # matches 2 g^{01} = -2.
+    rep = build_gamma_rep(D)
+    metric = rep.metric.copy()
+    metric[0, 1] = metric[1, 0] = -1.0
+    return GammaRep(D=D, spinor_dim=rep.spinor_dim, gammas=rep.gammas,
+                    gamma_chir=rep.gamma_chir, metric=metric)
+
+
+@pytest.mark.parametrize("rep", [
+    *(pytest.param(build_gamma_rep(D), id=f"D{D}") for D in range(2, 10)),
+    *(pytest.param(_tampered(D, slot, change), id=name)
+      for name, D, slot, change in TAMPERED),
+    pytest.param(_off_diagonal_metric(4), id="off-diagonal metric"),
+])
+def test_rows_match_dense_reference(rep):
+    got = [(r.name, r.passed) for r in verify_clifford(rep).rows]
+    assert got == _dense_verdicts(rep)
+
+
+@pytest.mark.parametrize("D,phase", [
+    (3, "-1j"), (5, "(1+0j)"), (7, "1j"), (9, "(-1+0j)"), (11, "-1j"),
+    (13, "(1+0j)"), (15, "1j"), (17, "(-1+0j)"), (19, "-1j"),
+])
+def test_odd_d_phase_detail(D, phase):
+    # gamma^{D+1} = phase * gamma^0 ... gamma^D, printed without signed zeros.
+    row = verify_clifford(build_gamma_rep(D)).rows[-1]
+    assert row.name == "chirality_proportional_to_gamma_product"
+    assert row.detail == f"phase {phase}"
 
 
 def test_report_dict_schema():
@@ -175,16 +316,3 @@ def test_report_dict_schema():
     assert set(doc) == {"D", "spinor_dim", "all_passed", "rows"}
     assert doc["all_passed"] is True
     assert all(set(r) == {"name", "passed", "detail"} for r in doc["rows"])
-
-
-def test_json_roundtrip():
-    rep = build_gamma_rep(3)
-    doc = gamma_rep_to_json(rep)
-    assert doc["D"] == 3 and doc["spinor_dim"] == 4
-    assert len(doc["gammas"]) == 4
-    decoded = np.array([[complex(re, im) for re, im in row]
-                        for row in doc["gammas"][1]])
-    assert np.array_equal(decoded, rep.gammas[1])
-    decoded_chir = np.array([[complex(re, im) for re, im in row]
-                             for row in doc["gamma_chir"]])
-    assert np.array_equal(decoded_chir, rep.gamma_chir)
