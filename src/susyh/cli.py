@@ -370,16 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, z_alpha_default):
+    def add_common(p, z_alpha_default, grid=True):
         p.add_argument("--D", default=None,
                        help="spatial dimension, an integer or a range a:b")
         p.add_argument("--zalpha", type=float, default=z_alpha_default,
                        help="coupling Z*alpha")
-        p.add_argument("--grid-points", default=None,
-                       help="grid size, or a comma list for refinement families")
-        p.add_argument("--r-max", type=float, default=None,
-                       help="outer radius in units of 1/m (default scales "
-                            "with the sector)")
+        if grid:
+            p.add_argument("--grid-points", default=None,
+                           help="grid size, or a comma list for refinement "
+                                "families")
+            p.add_argument("--r-max", type=float, default=None,
+                           help="outer radius in units of 1/m (default "
+                                "scales with the sector)")
         p.add_argument("--format", choices=("text", "csv", "json"),
                        default="text", dest="out_format")
         p.add_argument("--out", default=None, dest="out_path",
@@ -397,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-kappa", type=float, default=None, dest="abs_kappa",
                    help="|kappa| of the block (default: the smallest)")
     p.add_argument("--clifford-only", action="store_true",
-                   help="gamma-matrix algebra checks only; --D may be a range")
+                   help="gamma-matrix algebra checks only; --D may be a "
+                        "range, and the block flags --grid-points, --r-max "
+                        "and --abs-kappa are rejected")
 
     p = sub.add_parser("kernel", help="zero-mode annihilation study")
     add_common(p, DEFAULT_Z_ALPHA)
@@ -405,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-order", type=float, default=1.9)
 
     p = sub.add_parser("levels", help="level-scheme dataset across dimensions")
-    add_common(p, DEFAULT_LEVELS_Z_ALPHA)
+    add_common(p, DEFAULT_LEVELS_Z_ALPHA, grid=False)
     p.add_argument("--n-max", type=int, default=4, dest="n_max",
                    help="largest principal quantum number")
 
@@ -424,21 +428,29 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
             else (DEFAULT_D,)
     else:
         d_values = _parse_d_range(ns.D)
-    grid_points = _parse_points(ns.grid_points) if ns.grid_points else ()
+    grid_text = getattr(ns, "grid_points", None)
+    r_max = getattr(ns, "r_max", None)
+    if getattr(ns, "clifford_only", False):
+        block_flags = (("--grid-points", grid_text), ("--r-max", r_max),
+                       ("--abs-kappa", ns.abs_kappa))
+        given = [flag for flag, value in block_flags if value is not None]
+        if given:
+            raise CLIError(f"verify --clifford-only does not take "
+                           f"{', '.join(given)}")
+    grid_points = _parse_points(grid_text) if grid_text else ()
     family = ns.command in ("kernel", "convergence")
-    if (grid_points and ns.command != "levels"
-            and family != (len(grid_points) > 1)):
+    if grid_points and family != (len(grid_points) > 1):
         shape = "a comma list of two or more sizes" if family else "one size"
         raise CLIError(f"{ns.command} --grid-points takes {shape}, "
-                       f"got {ns.grid_points!r}")
+                       f"got {grid_text!r}")
     levels = getattr(ns, "levels", 3)
     if levels < 1:
         raise CLIError("--levels must be >= 1")
     n_max = getattr(ns, "n_max", 4)
     if n_max < 1:
         raise CLIError("--n-max must be >= 1")
-    if ns.r_max is not None and not 0 < ns.r_max < math.inf:
-        raise CLIError(f"--r-max must be positive and finite, got {ns.r_max!r}")
+    if r_max is not None and not 0 < r_max < math.inf:
+        raise CLIError(f"--r-max must be positive and finite, got {r_max!r}")
     return RunConfig(
         command=ns.command,
         d_values=d_values,
@@ -449,7 +461,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         levels=levels,
         n_max=n_max,
         grid_points=grid_points,
-        r_max=ns.r_max,
+        r_max=r_max,
         out_format=ns.out_format,
         out_path=ns.out_path,
         clifford_only=getattr(ns, "clifford_only", False),

@@ -10,6 +10,12 @@ Each gamma matrix has exactly one nonzero per row (a signed permutation up
 to factors of i), so it is stored as a Monomial of O(d) numbers for spinor
 size d, and products, adjoints and equality tests cost O(d).  All values
 lie in {+-1, +-i}, so every identity below holds exactly in complex128.
+
+The build applies one kron per doubling step to the whole stacked (rows, d)
+Euclidean set.  verify_clifford checks one family of identities at a time
+(gamma^mu against every gamma^nu with nu >= mu, the adjoints, gamma^{D+1}
+against every gamma^mu) with a few gathers on stacked rows, and builds no
+Monomial per product.  Rows are stacked in blocks of at most _BLOCK entries.
 """
 
 from __future__ import annotations
@@ -64,9 +70,7 @@ class Monomial:
 
     def kron(self, other: Monomial) -> Monomial:
         """Kronecker product self (x) other, row i * d_other + k."""
-        d = other.cols.size
-        return Monomial(np.add.outer(self.cols * d, other.cols).ravel(),
-                        np.outer(self.vals, other.vals).ravel())
+        return Monomial(*_kron(self.cols, self.vals, other.cols, other.vals))
 
     def toarray(self) -> np.ndarray:
         """The dense d x d complex matrix."""
@@ -78,6 +82,34 @@ class Monomial:
 
 def _identity(d: int) -> Monomial:
     return Monomial(np.arange(d), np.ones(d))
+
+
+def _kron(lcols, lvals, cols, vals) -> tuple:
+    """cols and vals of a (x) b for each stacked row pair: a from (lcols,
+    lvals), b from (cols, vals); rows broadcast, so one a may serve all."""
+    n = cols.shape[-1]
+    shape = (*cols.shape[:-1], -1)
+    return ((lcols[..., :, None] * n + cols[..., None, :]).reshape(shape),
+            (lvals[..., :, None] * vals[..., None, :]).reshape(shape))
+
+
+def _stack(mats) -> tuple:
+    """Stacked (rows, d) cols and vals of a sequence of Monomials."""
+    return (np.stack([m.cols for m in mats]),
+            np.stack([m.vals for m in mats]))
+
+
+# Entries per stacked block: rows are taken max(1, _BLOCK // d) at a time.
+# Stacking every row at once was slower than one product at a time at
+# large d (its temporaries leave the cache) and held a second copy of the
+# representation.
+_BLOCK = 2 ** 12
+
+
+def _blocks(rows: int, d: int):
+    """(lo, hi) bounds of consecutive blocks of at most _BLOCK entries."""
+    step = max(1, _BLOCK // max(d, 1))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 _SIGMA1 = Monomial([1, 0], [1, 1])
@@ -107,18 +139,21 @@ class GammaRep:
         self.metric.flags.writeable = False
 
 
-def _euclidean_set(k: int) -> list:
-    """k mutually anticommuting Hermitian involutions on dimension 2^(k//2)."""
-    if k == 1:
-        return [_identity(1)]
-    if k == 2:
-        return [_SIGMA1, _SIGMA2]
-    inner = _euclidean_set(k - 2)
-    eye = _identity(inner[0].cols.size)
-    out = [_SIGMA1.kron(e) for e in inner]
-    out.append(_SIGMA2.kron(eye))
-    out.append(_SIGMA3.kron(eye))
-    return out
+def _euclidean_set(k: int) -> tuple:
+    """k mutually anticommuting Hermitian involutions on dimension 2^(k//2),
+    as stacked (k, n) cols and vals.
+
+    Each doubling step maps the set {e_j} to sigma1 x e_j, sigma2 x 1,
+    sigma3 x 1 with one kron over the stack, whose last two rows are 1.
+    """
+    cols, vals = _stack([_identity(1)] if k % 2 else [_SIGMA1, _SIGMA2])
+    for _ in range((k - 1) // 2):
+        m, n = cols.shape
+        eye_cols, eye_vals = _stack([_identity(n)] * 2)
+        cols, vals = _kron(*_stack([_SIGMA1] * m + [_SIGMA2, _SIGMA3]),
+                           np.concatenate([cols, eye_cols]),
+                           np.concatenate([vals, eye_vals]))
+    return cols, vals
 
 
 def spinor_dim(D: int) -> int:
@@ -141,11 +176,19 @@ def build_gamma_rep(D: int) -> GammaRep:
     The spinor size is spinor_dim(D), which validates D; construction is the
     doubling gamma^0 = sigma3 x 1, gamma^i = i sigma1 x e_i,
     gamma^{D+1} = sigma2 x 1 over a Euclidean anticommuting set {e_i}.
+    The set stays stacked until this last kron, so only the D+2 gammas go
+    through the Monomial constructor.
     """
     dim = spinor_dim(D)
-    spatial = _euclidean_set(D)
+    cols, vals = _euclidean_set(D)
+    spatial = []
+    # The constructor copies each row, so a block at a time keeps the
+    # kron's output from doubling the memory the gammas hold.
+    for lo, hi in _blocks(D, dim):
+        spatial += map(Monomial, *_kron(_I_SIGMA1.cols, _I_SIGMA1.vals,
+                                        cols[lo:hi], vals[lo:hi]))
     eye = _identity(dim // 2)
-    gammas = (_SIGMA3.kron(eye), *(_I_SIGMA1.kron(e) for e in spatial))
+    gammas = (_SIGMA3.kron(eye), *spatial)
     metric = np.diag([1.0] + [-1.0] * D)
     return GammaRep(D=D, spinor_dim=dim, gammas=gammas,
                     gamma_chir=_SIGMA2.kron(eye), metric=metric)
@@ -183,15 +226,32 @@ class CliffordReport:
         }
 
 
-def _sum_is_scalar(p: Monomial, q: Monomial, c: complex) -> bool:
-    """Whether the dense sum p + q is c times the identity.  A row where p
-    and q differ in column holds two nonzeros, so cols must agree."""
-    s = p.vals + q.vals
-    on_diagonal = p.cols == np.arange(p.cols.size)
-    fits = np.where(on_diagonal, s == c, (s == 0) & (c == 0))
-    return bool(np.array_equal(p.cols, q.cols) and fits.all())
+def _check_values(*vals) -> None:
+    """Raise ValueError unless every product value is nonzero and finite,
+    as the Monomial constructor would for each product."""
+    for v in vals:
+        if not (v.all() and np.isfinite(v).all()):
+            raise ValueError("a product of the gammas has a zero or "
+                             "non-finite value")
 
 
+def _anticommutators(a: Monomial, cols, vals, c) -> np.ndarray:
+    """Whether the dense a b + b a equals c[j] times the identity, for each
+    stacked row b = (cols[j], vals[j]).  A row where a b and b a differ in
+    column holds two nonzeros, so their cols must agree; a nonzero c also
+    needs every column on the diagonal."""
+    p_cols = cols.take(a.cols, axis=1)      # a b
+    p_vals = a.vals * vals.take(a.cols, axis=1)
+    q_cols = a.cols.take(cols)              # b a
+    q_vals = vals * a.vals.take(cols)
+    _check_values(p_vals, q_vals)
+    on_diagonal = (p_cols == np.arange(a.cols.size)).all(axis=1)
+    return (((p_cols == q_cols) & (p_vals + q_vals == c[:, None])).all(axis=1)
+            & (on_diagonal | (c == 0)))
+
+
+# Over- and underflow in a product is reported by _check_values.
+@np.errstate(all="ignore")
 def verify_clifford(rep: GammaRep) -> CliffordReport:
     """Check every defining identity exactly.
 
@@ -200,31 +260,62 @@ def verify_clifford(rep: GammaRep) -> CliffordReport:
     identities, and for odd D the proportionality of gamma^{D+1} to the product
     of all gammas with a unimodular phase.  Each row passes exactly when the
     same identity holds entrywise for the dense matrices (toarray()).
+
+    With gamma^{D+1} as index D+1, every product identity is {a, b} = c 1
+    for a pair mu <= nu: c is 2 g^{mu nu} among the gammas, 0 against
+    gamma^{D+1}, and 2 for gamma^{D+1} squared.  Raises ValueError if the
+    gammas are not D+1 Monomials of one size or a product value is zero or
+    not finite.
     """
-    rows = []
-    gs, ch = rep.gammas, rep.gamma_chir
-    for mu in range(rep.D + 1):
-        for nu in range(mu, rep.D + 1):
-            rows.append(CheckRow(f"anticommutator_{mu}_{nu}", _sum_is_scalar(
-                gs[mu] @ gs[nu], gs[nu] @ gs[mu], 2.0 * rep.metric[mu, nu])))
-    rows.append(CheckRow("hermitian_gamma0", gs[0].adjoint() == gs[0]))
-    for i in range(1, rep.D + 1):
-        rows.append(CheckRow(f"antihermitian_gamma{i}", gs[i].adjoint()
-                             == Monomial(gs[i].cols, -gs[i].vals)))
-    rows.append(CheckRow("chirality_hermitian", ch.adjoint() == ch))
+    D, gs, ch = rep.D, rep.gammas, rep.gamma_chir
+    mats = (*gs, ch)
+    d = ch.cols.size
+    if len(gs) != D + 1 or any(m.cols.size != d for m in gs):
+        raise ValueError("verify_clifford needs D+1 gammas and gamma^{D+1} "
+                         "of one size")
+    n = D + 2
+    target = np.zeros((n, n), dtype=complex)
+    target[:-1, :-1] = 2.0 * rep.metric
+    target[-1, -1] = 2.0
+    # The adjoint has entry (cols[i], i) = conj(vals[i]), so it equals
+    # sign * m exactly when cols is an involution and conj(vals[cols]) =
+    # sign * vals.
+    sign = np.array([1.0] + [-1.0] * D + [1.0])
+    identity_cols = np.arange(d)
+    anti = np.zeros((n, n), dtype=bool)
+    adjoint = np.zeros(n, dtype=bool)
+    for lo, hi in _blocks(n, d):
+        cols, vals = _stack(mats[lo:hi])
+        adjoint[lo:hi] = (
+            (np.take_along_axis(cols, cols, axis=1) == identity_cols).all(axis=1)
+            & (np.take_along_axis(vals, cols, axis=1).conj()
+               == sign[lo:hi, None] * vals).all(axis=1))
+        for mu in range(hi):
+            j = max(mu, lo)
+            anti[mu, j:hi] = _anticommutators(mats[mu], cols[j - lo:],
+                                              vals[j - lo:], target[mu, j:hi])
+    anti, adjoint = anti.tolist(), adjoint.tolist()
+    rows = [CheckRow(f"anticommutator_{mu}_{nu}", anti[mu][nu])
+            for mu in range(D + 1) for nu in range(mu, D + 1)]
+    rows.append(CheckRow("hermitian_gamma0", adjoint[0]))
+    rows += [CheckRow(f"antihermitian_gamma{i}", adjoint[i])
+             for i in range(1, D + 1)]
+    rows.append(CheckRow("chirality_hermitian", adjoint[-1]))
     rows.append(CheckRow("chirality_squares_to_identity",
-                         ch @ ch == _identity(rep.spinor_dim)))
-    for mu in range(rep.D + 1):
-        rows.append(CheckRow(f"chirality_anticommutes_gamma{mu}",
-                             _sum_is_scalar(ch @ gs[mu], gs[mu] @ ch, 0.0)))
-    if rep.D % 2 == 1:
-        prod = gs[0]
+                         anti[-1][-1] and d == rep.spinor_dim))
+    rows += [CheckRow(f"chirality_anticommutes_gamma{mu}", anti[mu][-1])
+             for mu in range(D + 1)]
+    if D % 2 == 1:
+        cols, vals = gs[0].cols, gs[0].vals
         for g in gs[1:]:
-            prod = prod @ g
+            cols, vals = g.cols[cols], vals * g.vals[cols]
+        # A zero or non-finite value persists through later products, so
+        # checking the whole product checks each partial one.
+        _check_values(vals)
         # Adding zero prints each signed zero of the phase as +0.
-        phase = ch.vals[0] / prod.vals[0] + 0
-        ok = bool(abs(phase) == 1.0 and np.array_equal(ch.cols, prod.cols)
-                  and np.array_equal(ch.vals, phase * prod.vals))
+        phase = ch.vals[0] / vals[0] + 0
+        ok = bool(abs(phase) == 1.0 and np.array_equal(ch.cols, cols)
+                  and np.array_equal(ch.vals, phase * vals))
         rows.append(CheckRow("chirality_proportional_to_gamma_product", ok,
                              detail=f"phase {phase}"))
-    return CliffordReport(D=rep.D, spinor_dim=rep.spinor_dim, rows=tuple(rows))
+    return CliffordReport(D=D, spinor_dim=rep.spinor_dim, rows=tuple(rows))

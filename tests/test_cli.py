@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, and byte determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -229,6 +230,20 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("out_format,digest", [
+    ("text", "097da9e9d48a5fc275c7f08fd0765637343c689c415af1ad6c8eec3cc189dfed"),
+    ("csv", "4ea8a9c4af9cf6b61dd0b6930ac4ad7b3668f4afc43817683b78bb5d322c4e61"),
+    ("json", "a514f3f6e36f3c13370a9d6f32f7f6f77b739642ee4982ecf6ab9b240132960d"),
+])
+def test_clifford_output_is_pinned(capsys, out_format, digest):
+    # sha256 of stdout as the per-product Monomial implementation printed
+    # it, so a rewrite of the Clifford layer must keep every byte.
+    rc, out, err = run(capsys, ["verify", "--clifford-only", "--D", "2:16",
+                                "--format", out_format])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     argv = ["levels", "--D", "3", "--format", "csv"]
     _, stdout_text, _ = run(capsys, argv)
@@ -266,6 +281,20 @@ def test_out_file_matches_stdout(capsys, tmp_path):
      "spectrum --grid-points takes one size"),
     (["verify", "--D", "3", "--grid-points", "200,400"],
      "verify --grid-points takes one size"),
+    # Flags a command would ignore are rejected, naming the flag.
+    (["levels", "--D", "3", "--n-max", "1", "--grid-points", "5"],
+     "unrecognized arguments: --grid-points 5"),
+    (["levels", "--D", "3", "--n-max", "1", "--r-max", "3"],
+     "unrecognized arguments: --r-max 3"),
+    (["verify", "--clifford-only", "--D", "3", "--grid-points", "5"],
+     "verify --clifford-only does not take --grid-points"),
+    (["verify", "--clifford-only", "--D", "3", "--r-max", "3"],
+     "verify --clifford-only does not take --r-max"),
+    (["verify", "--clifford-only", "--D", "3", "--abs-kappa", "9"],
+     "verify --clifford-only does not take --abs-kappa"),
+    (["verify", "--clifford-only", "--D", "3", "--grid-points", "5",
+      "--r-max", "3", "--abs-kappa", "9"],
+     "does not take --grid-points, --r-max, --abs-kappa"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)

@@ -26,6 +26,34 @@ def test_all_identities_pass(D):
     assert failed == []
 
 
+def _euclidean_set_per_kron(k):
+    """The Euclidean set as a list of Monomials, one kron per element: the
+    recursion the stacked build must reproduce."""
+    if k == 1:
+        return [clifford._identity(1)]
+    if k == 2:
+        return [clifford._SIGMA1, clifford._SIGMA2]
+    inner = _euclidean_set_per_kron(k - 2)
+    eye = clifford._identity(inner[0].cols.size)
+    return ([clifford._SIGMA1.kron(e) for e in inner]
+            + [clifford._SIGMA2.kron(eye), clifford._SIGMA3.kron(eye)])
+
+
+@pytest.mark.parametrize("D", range(2, 20))
+def test_stacked_build_matches_per_kron_recursion(D):
+    eye = clifford._identity(clifford.spinor_dim(D) // 2)
+    want = [clifford._SIGMA3.kron(eye),
+            *(clifford._I_SIGMA1.kron(e) for e in _euclidean_set_per_kron(D)),
+            clifford._SIGMA2.kron(eye)]
+    rep = build_gamma_rep(D)
+    got = [*rep.gammas, rep.gamma_chir]
+    assert len(got) == len(want) == D + 2
+    for g, w in zip(got, want):
+        assert np.array_equal(g.cols, w.cols)
+        # Bitwise, signed zeros included.
+        assert g.vals.tobytes() == w.vals.tobytes()
+
+
 @pytest.mark.parametrize("D,dim", [(2, 4), (3, 4), (4, 8), (5, 8), (10, 64)])
 def test_spinor_dimension(D, dim):
     rep = build_gamma_rep(D)
@@ -298,6 +326,84 @@ def _off_diagonal_metric(D):
 def test_rows_match_dense_reference(rep):
     got = [(r.name, r.passed) for r in verify_clifford(rep).rows]
     assert got == _dense_verdicts(rep)
+
+
+def _duplicate(D, mu, nu):
+    """build_gamma_rep(D) with gamma^nu replaced by gamma^mu: for spatial
+    mu < nu this breaks {gamma^mu, gamma^nu} and no other anticommutator."""
+    return _tampered(D, nu, lambda rep, g: rep.gammas[mu])
+
+
+@pytest.mark.parametrize("block,D,nu", [
+    (64, 7, 6),    # d = 16, blocks of rows [0, 4), [4, 8), [8, 9): middle
+    (64, 7, 4),    # first row of a block
+    (64, 7, 3),    # last row of the block before
+    (16, 6, 5),    # one row per block
+    (2 ** 12, 7, 5),
+])
+def test_broken_pair_matches_dense_reference(monkeypatch, block, D, nu):
+    # The block constant is shrunk so that the mu = 1 family splits over
+    # several blocks at a D small enough for the dense reference.
+    monkeypatch.setattr(clifford, "_BLOCK", block)
+    rep = _duplicate(D, 1, nu)
+    got = [(r.name, r.passed) for r in verify_clifford(rep).rows]
+    assert got == _dense_verdicts(rep)
+    failed = [name for name, ok in got if not ok]
+    assert [f for f in failed if f.startswith("anticommutator")] \
+        == [f"anticommutator_1_{nu}"]
+
+
+@pytest.mark.parametrize("nu", [7, 8, 12, 15, 16])
+def test_broken_pair_at_the_block_constant(nu):
+    # D = 16: d = 512, so blocks hold 8 rows and the mu = 1 family spans
+    # rows [1, 8), [8, 16) and [16, 18).
+    D = 16
+    assert clifford._blocks(D + 2, 512) == [(0, 8), (8, 16), (16, 18)]
+    report = verify_clifford(_duplicate(D, 1, nu))
+    assert [r.name for r in report.rows if not r.passed] \
+        == [f"anticommutator_1_{nu}"]
+
+
+def _scaled(D, slot, factor):
+    return _tampered(D, slot, lambda rep, g: Monomial(g.cols, factor * g.vals))
+
+
+def _all_scaled(D, factor):
+    rep = build_gamma_rep(D)
+    gammas = tuple(Monomial(g.cols, factor * g.vals) for g in rep.gammas)
+    return GammaRep(D=D, spinor_dim=rep.spinor_dim, gammas=gammas,
+                    gamma_chir=rep.gamma_chir, metric=rep.metric.copy())
+
+
+@pytest.mark.parametrize("rep", [
+    pytest.param(_scaled(3, 1, 1e200), id="gamma1 squared overflows"),
+    pytest.param(_scaled(3, 1, 1e-200), id="gamma1 squared underflows"),
+    pytest.param(_scaled(3, -1, 1e200), id="chirality squared overflows"),
+    pytest.param(_scaled(12, 9, 1e200), id="D12 gamma9 squared overflows"),
+    # Each pair product is about 1e80; only the product of all eight
+    # gammas overflows.
+    pytest.param(_all_scaled(7, 1e40), id="gamma product overflows"),
+])
+def test_product_overflow_raises(rep):
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        verify_clifford(rep)
+
+
+@pytest.mark.parametrize("slot,size", [(2, 16), (2, 4), (0, 2), (-1, 16)])
+def test_gammas_of_different_sizes_raise(slot, size):
+    rep = _tampered(5, slot, lambda rep, g: clifford._identity(size))
+    with pytest.raises(ValueError, match="of one size"):
+        verify_clifford(rep)
+
+
+def test_wrong_spinor_dim_fails_only_the_identity_row():
+    # gamma^{D+1} squared is compared with the identity of size spinor_dim.
+    rep = build_gamma_rep(4)
+    bad = GammaRep(D=4, spinor_dim=4, gammas=rep.gammas,
+                   gamma_chir=rep.gamma_chir, metric=rep.metric.copy())
+    report = verify_clifford(bad)
+    assert [r.name for r in report.rows if not r.passed] \
+        == ["chirality_squares_to_identity"]
 
 
 @pytest.mark.parametrize("D,phase", [
