@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, z_alpha_default, grid=True):
+    def add_common(p, z_alpha_default, grid=True, r_max=True):
         p.add_argument("--D", default=None,
                        help="spatial dimension, an integer or a range a:b")
         p.add_argument("--zalpha", type=float, default=z_alpha_default,
@@ -379,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid-points", default=None,
                            help="grid size, or a comma list for refinement "
                                 "families")
+        if grid and r_max:
             p.add_argument("--r-max", type=float, default=None,
                            help="outer radius in units of 1/m (default "
                                 "scales with the sector)")
@@ -395,16 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of bound levels")
 
     p = sub.add_parser("verify", help="run the identity suite")
-    add_common(p, DEFAULT_Z_ALPHA)
+    # None tells an explicit --zalpha apart, which --clifford-only rejects.
+    add_common(p, None)
     p.add_argument("--abs-kappa", type=float, default=None, dest="abs_kappa",
                    help="|kappa| of the block (default: the smallest)")
     p.add_argument("--clifford-only", action="store_true",
                    help="gamma-matrix algebra checks only; --D may be a "
-                        "range, and the block flags --grid-points, --r-max "
-                        "and --abs-kappa are rejected")
+                        "range, and the block flags --grid-points, --r-max, "
+                        "--abs-kappa and --zalpha are rejected")
 
     p = sub.add_parser("kernel", help="zero-mode annihilation study")
-    add_common(p, DEFAULT_Z_ALPHA)
+    # The study runs on each sector's default grid, so --r-max is rejected.
+    add_common(p, DEFAULT_Z_ALPHA, r_max=False)
     p.add_argument("--abs-kappa", type=float, default=None, dest="abs_kappa")
     p.add_argument("--min-order", type=float, default=1.9)
 
@@ -432,7 +435,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     r_max = getattr(ns, "r_max", None)
     if getattr(ns, "clifford_only", False):
         block_flags = (("--grid-points", grid_text), ("--r-max", r_max),
-                       ("--abs-kappa", ns.abs_kappa))
+                       ("--abs-kappa", ns.abs_kappa), ("--zalpha", ns.zalpha))
         given = [flag for flag, value in block_flags if value is not None]
         if given:
             raise CLIError(f"verify --clifford-only does not take "
@@ -454,7 +457,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=ns.command,
         d_values=d_values,
-        z_alpha=ns.zalpha,
+        z_alpha=DEFAULT_Z_ALPHA if ns.zalpha is None else ns.zalpha,
         l=getattr(ns, "l", 0),
         sign=_parse_sign(getattr(ns, "sign", "+")),
         abs_kappa=getattr(ns, "abs_kappa", None),

@@ -22,6 +22,7 @@ component values just outside [r_min, r_max] are dropped.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,26 +45,33 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RadialOperator:
-    """A sector Hamiltonian as a dense symmetric matrix on the stacked
-    doublet (F block, then G).
+    """A sector Hamiltonian, stored as its (2n, 2n) CSR matrix on the
+    stacked doublet (F block, then G).
 
-    matrix is real, shape (2n, 2n), with the F block first regardless of
-    layout; layout records which staggered node set F occupies.  The matrix
-    is tridiagonal after interleaving by node position; solve_spectrum
+    csr is real and read-only, with the F block first regardless of layout;
+    layout records which staggered node set F occupies.  The operator is
+    tridiagonal after interleaving by node position; solve_bound_levels
     solves it from bands rebuilt out of params, sector, grid and layout.
+    matrix is the dense form of csr, built on first read and read-only;
+    no library path reads it.
     """
 
     params: PhysParams
     sector: KappaSector
     grid: RadialGrid
-    matrix: np.ndarray
+    csr: sp.csr_matrix
     layout: str = STANDARD
 
     def __post_init__(self):
+        _layout_nodes(self.grid, self.layout)  # ValueError on a bad layout
         n = self.grid.n_points
-        if self.matrix.shape != (2 * n, 2 * n):
-            raise ValueError(f"matrix shape {self.matrix.shape} != {(2 * n, 2 * n)}")
-        self.matrix.flags.writeable = False
+        if self.csr.shape != (2 * n, 2 * n):
+            raise ValueError(f"csr shape {self.csr.shape} != {(2 * n, 2 * n)}")
+        _read_only(self.csr)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(self.csr.toarray())
 
     @property
     def nodes_f(self) -> np.ndarray:
@@ -88,6 +96,14 @@ def _layout_nodes(grid: RadialGrid, layout: str) -> tuple:
     if layout == SWAPPED:
         return grid.nodes_small, grid.nodes
     raise ValueError(f"layout must be {STANDARD!r} or {SWAPPED!r}, got {layout!r}")
+
+
+def _read_only(a):
+    """Mark a dense array, or the arrays of a sparse CSR matrix, read-only;
+    returns a."""
+    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        arr.flags.writeable = False
+    return a
 
 
 def _layout_weights(grid: RadialGrid, layout: str) -> tuple:
@@ -129,12 +145,11 @@ def build_radial_hamiltonian(
     layout=STANDARD puts F on grid.nodes; layout=SWAPPED puts F on
     grid.nodes_small, with the cross coupling built so that the two layouts
     of opposite-kappa sectors share one cross block exactly (the structure
-    the sector-swap operator requires).  The matrix is exactly symmetric;
-    it is the dense form of _sector_csr.
+    the sector-swap operator requires).  The operator is stored as the CSR
+    of _sector_csr, which is exactly symmetric; no dense matrix is built.
     """
     return RadialOperator(params=params, sector=sector, grid=grid,
-                          matrix=_sector_csr(params, sector, grid,
-                                             layout).toarray(),
+                          csr=_sector_csr(params, sector, grid, layout),
                           layout=layout)
 
 
@@ -572,7 +587,7 @@ def solve_spectrum(
     stability_tol: float = 0.02,
 ) -> list:
     """solve_bound_levels on the operator's params, sector, grid and layout:
-    its bands are the same floats as the tridiagonal entries of op.matrix."""
+    its bands are the same floats as the tridiagonal entries of op.csr."""
     return solve_bound_levels(op.params, op.sector, op.grid, op.layout,
                               count, spurious_threshold, stability_check,
                               stability_tol)

@@ -31,9 +31,11 @@ operators are assembled as radial.Bands (offset -> row vector) and
 converted to CSR once; scipy.sparse is used where they act, for its
 sorted-index matvecs and products.  The band product loops over offset
 pairs in one fixed order, so sign-symmetric sums built from it would cancel
-exactly too.  Dense (4n)^2 arrays remain in SusyBlock (H_block, K_block,
-A_block) and in build_supercharges, which return them as public objects;
-verify reads A_block and the diagonal of K_block but forms no dense product.
+exactly too.  SusyBlock stores A as one (4n, 4n) CSR matrix and K as its
+diagonal vector, so verify allocates no (4n)^2 array; the dense fields
+H_block, K_block and A_block are built from those only when read, and
+build_supercharges, which returns dense charges, is the one library caller
+of a dense A.
 
 Two independent A assemblies are kept: the primary one from the defining
 Johnson-Lippmann form A = eta * interp + (|kappa| / (Z alpha m)) J (H - m
@@ -48,6 +50,7 @@ follow ||A psi_0|| under refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -74,8 +77,16 @@ class SusyBlock:
     Vector layout: (minus sector, plus sector), each sector stacked (F, G).
     The minus sector uses the swapped staggering (F on half nodes) so that
     A_mp maps plus-sector vectors onto minus-sector node sets consistently.
-    A_block and eta are populated by build_A; the block is immutable, so
-    build_A returns a new instance.
+
+    The block stores operators, not dense matrices: each sector's CSR (in
+    minus and plus), K as its diagonal (-|kappa| over the minus sector,
+    +|kappa| over the plus sector), and A as one (4n, 4n) CSR matrix
+    [[0, A_mp], [A_mp^T, 0]] with sorted indices and no explicit zeros.  A
+    and eta are populated by build_A; the block is immutable (its arrays
+    are read-only), so build_A returns a new instance.  H_block, K_block,
+    A_block and a_mp() are dense read-only forms built from the stored
+    operators only when read; dataclasses.replace does not carry them over.
+    No library path reads them.
     """
 
     params: PhysParams
@@ -84,26 +95,46 @@ class SusyBlock:
     grid: RadialGrid
     minus: radial.RadialOperator
     plus: radial.RadialOperator
-    H_block: np.ndarray
-    K_block: np.ndarray
-    A_block: np.ndarray | None = None
+    K: np.ndarray
+    A: sp.csr_matrix | None = None
     eta: int | None = None
 
     def __post_init__(self):
-        self.H_block.flags.writeable = False
-        self.K_block.flags.writeable = False
-        if self.A_block is not None:
-            self.A_block.flags.writeable = False
+        n4 = 4 * self.n
+        if self.K.shape != (n4,):
+            raise ValueError(f"K shape {self.K.shape} != {(n4,)}")
+        radial._read_only(self.K)
+        if self.A is not None:
+            if (self.A.format != "csr" or self.A.shape != (n4, n4)
+                    or not self.A.has_canonical_format):
+                raise ValueError(
+                    f"A must be a ({n4}, {n4}) CSR matrix with sorted "
+                    f"indices and no duplicates")
+            radial._read_only(self.A)
 
     @property
     def n(self) -> int:
         return self.grid.n_points
 
+    @functools.cached_property
+    def H_block(self) -> np.ndarray:
+        return radial._read_only(
+            sp.block_diag((self.minus.csr, self.plus.csr)).toarray())
+
+    @functools.cached_property
+    def K_block(self) -> np.ndarray:
+        return radial._read_only(np.diag(self.K))
+
+    @functools.cached_property
+    def A_block(self) -> np.ndarray | None:
+        return None if self.A is None else radial._read_only(self.A.toarray())
+
     def a_mp(self) -> np.ndarray:
         """Upper-right block of A: maps plus-sector vectors to minus rows."""
-        if self.A_block is None:
-            raise ValueError("A_block not assembled; call build_A first")
-        return self.A_block[: 2 * self.n, 2 * self.n:]
+        if self.A is None:
+            raise ValueError("A not assembled; call build_A first")
+        n2 = 2 * self.n
+        return radial._read_only(self.A[:n2, n2:].toarray())
 
 
 def sector_pair(params: PhysParams, abs_kappa: float) -> tuple:
@@ -124,7 +155,8 @@ def build_susy_block(
     grid: RadialGrid | None = None,
     n_points: int = 800,
 ) -> SusyBlock:
-    """Assemble both sector Hamiltonians on one shared staggered grid."""
+    """Assemble both sector Hamiltonians on one shared staggered grid, as
+    CSR, and K as its diagonal vector."""
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
     if grid is None:
         grid = default_grid(params, plus_sector, n_points=n_points)
@@ -132,17 +164,10 @@ def build_susy_block(
                                            layout=radial.STANDARD)
     minus = radial.build_radial_hamiltonian(params, minus_sector, grid,
                                             layout=radial.SWAPPED)
-    n2 = 2 * grid.n_points
-    h_block = np.zeros((2 * n2, 2 * n2))
-    h_block[:n2, :n2] = minus.matrix
-    h_block[n2:, n2:] = plus.matrix
-    k_block = np.zeros((2 * n2, 2 * n2))
-    idx = np.arange(n2)
-    k_block[idx, idx] = -abs_kappa
-    k_block[n2 + idx, n2 + idx] = abs_kappa
+    k = np.repeat(np.array([-abs_kappa, abs_kappa], dtype=np.float64),
+                  2 * grid.n_points)
     return SusyBlock(params=params, abs_kappa=abs_kappa, l=plus_sector.l,
-                     grid=grid, minus=minus, plus=plus,
-                     H_block=h_block, K_block=k_block)
+                     grid=grid, minus=minus, plus=plus, K=k)
 
 
 def interior_norm(vec: np.ndarray, n: int, margin: int) -> float:
@@ -314,13 +339,17 @@ def build_A(block: SusyBlock, eta: int | None = None,
     which the kernel contract rejects.  check_alternate also requires the
     independent Hermitian-form assembly to converge to this one on the zero
     mode; ConventionError if it does not.
+
+    The block's A is stored as one CSR matrix, sp.bmat([[None, A_mp],
+    [A_mp^T, None]]) with explicit zeros dropped and indices sorted: the
+    structure verify_A_squared shares among A and the charges.  No dense
+    array is built.
     """
     if eta is None:
         eta = ETA
     elif eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    a_mp = _assemble_a_mp(block.params, block.abs_kappa, block.grid,
-                          eta).toarray()
+    a_mp = _assemble_a_mp(block.params, block.abs_kappa, block.grid, eta)
     if check_alternate:
         # Agreement "to discretization tolerance" means the gap between the
         # two assemblies vanishes under refinement; its absolute size at one
@@ -333,11 +362,10 @@ def build_A(block: SusyBlock, eta: int | None = None,
                 f"primary and alternate A assemblies do not converge to each "
                 f"other: zero-mode action gaps {gap:.3e} -> {gap_fine:.3e}"
             )
-    n2 = 2 * block.n
-    a_block = np.zeros((2 * n2, 2 * n2))
-    a_block[:n2, n2:] = a_mp
-    a_block[n2:, :n2] = a_mp.T
-    return replace(block, A_block=a_block, eta=eta)
+    a = sp.bmat([[None, a_mp], [a_mp.T, None]], format="csr")
+    a.eliminate_zeros()
+    a.sort_indices()
+    return replace(block, A=a, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -371,19 +399,19 @@ def build_supercharges(block: SusyBlock) -> SusyCharges:
     with a diagonal matrix has one nonzero term per entry, so A p and
     (1 +- p) A / 2 are the same floats the dense products give, without a
     (4n)^3 gemm.  Only H_susy = {Q+, Q-} is a genuine dense product.
+    The charges are dense (4n)^2 arrays, formed from the block's CSR A.
     verify_A_squared does not call this: it forms the same products on CSR
     matrices that share A's index structure.
     """
-    if block.A_block is None:
-        raise ValueError("A_block not assembled; call build_A first")
-    a = block.A_block
-    p = np.diagonal(block.K_block) / block.abs_kappa  # exactly +-1
-    q1 = a
+    if block.A is None:
+        raise ValueError("A not assembled; call build_A first")
+    a = block.A.toarray()
+    p = block.K / block.abs_kappa  # exactly +-1
     q2 = 1j * (a * p)
     q_plus = (0.5 * (1.0 + p))[:, None] * a
     q_minus = (0.5 * (1.0 - p))[:, None] * a
     h_susy = q_plus @ q_minus + q_minus @ q_plus
-    return SusyCharges(Q1=q1.copy(), Q2=q2, Q_plus=q_plus, Q_minus=q_minus,
+    return SusyCharges(Q1=a, Q2=q2, Q_plus=q_plus, Q_minus=q_minus,
                        H_susy=h_susy)
 
 
@@ -445,12 +473,12 @@ def verify_A_squared(
 
     Structural identities (A symmetric, {A, K} = 0, Q+-^2 = 0, {Q1, Q2} = 0,
     H_susy = A^2) are checked for exact zero max element at the block's own
-    grid size.  A is read from the block's A_block into CSR with sorted
-    indices and no explicit zeros; Im Q2 = A p and Q+- = (1 +- p) A / 2
-    (p = K / |kappa|) scale its data only and share its index structure, so
-    each product sums over k in A's index order and the sign-symmetric sums
-    cancel exactly.  The pass costs one scan of the dense A_block plus O(n)
-    sparse work, and allocates no (4n)^2 array.
+    grid size.  They read the block's stored CSR A (sorted indices, no
+    explicit zeros) and K vector directly; Im Q2 = A p and Q+- = (1 +- p) A
+    / 2 (p = K / |kappa|) scale A's data only and share its index
+    structure, so each product sums over k in A's index order and the
+    sign-symmetric sums cancel exactly.  The pass is O(n) sparse work and
+    allocates no (4n)^2 array.
     The two analytic identities, A^2 = 1 + (K/Z alpha)^2 (H^2/m^2 - 1) and
     [H, A] = 0, are genuine discretizations: their residuals are measured by
     action on the lowest `ensemble` bound states plus the zero mode, on
@@ -475,15 +503,14 @@ def verify_A_squared(
             f"refinements must be >= 1 to measure a refinement ratio, "
             f"got {refinements}"
         )
-    blk = block if block.A_block is not None else build_A(block)
+    blk = block if block.A is not None else build_A(block)
     rows = []
-    # A as CSR with sorted indices and no explicit zeros.  Im Q2 = A p and
-    # Q+- = (1 +- p) A / 2 scale A's data only, so all four share A's
-    # indptr/indices: every product then sums over k in A's index order, the
-    # same order for both halves of each sign-symmetric pair.
-    a = sp.csr_matrix(blk.A_block)
-    a.sort_indices()
-    k = np.diagonal(blk.K_block)
+    # A is stored as CSR with sorted indices and no explicit zeros.  Im Q2 =
+    # A p and Q+- = (1 +- p) A / 2 scale A's data only, so all four share
+    # A's indptr/indices: every product then sums over k in A's index order,
+    # the same order for both halves of each sign-symmetric pair.
+    a = blk.A
+    k = blk.K
     p = k / blk.abs_kappa  # exactly +-1
     row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 

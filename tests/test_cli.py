@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from susyh import analytic, cli, clifford
+from susyh import analytic, cli, clifford, radial, susy
 from susyh.analytic import LevelScheme
 
 
@@ -230,6 +230,36 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def test_verify_zalpha_default_resolves_for_block_runs(capsys):
+    # verify's --zalpha defaults to None so --clifford-only can tell an
+    # explicit value apart; a block run without it uses DEFAULT_Z_ALPHA.
+    argv = ["verify", "--D", "3", "--grid-points", "60", "--format", "json"]
+    implicit = run(capsys, argv)
+    explicit = run(capsys, argv + ["--zalpha", repr(cli.DEFAULT_Z_ALPHA)])
+    assert implicit == explicit
+    assert run(capsys, ["verify", "--clifford-only", "--D", "3"])[0] == 0
+
+
+def test_verify_and_kernel_read_no_dense_view(capsys, monkeypatch):
+    # The block and sector operators are stored as CSR and vectors; their
+    # dense forms exist only for readers outside these paths.
+    argvs = [["verify", "--D", "3", "--format", "json"],
+             ["kernel", "--D", "3", "--format", "json"]]
+    reference = [run(capsys, argv) for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("a dense view was read")
+
+    for name in ("H_block", "K_block", "A_block"):
+        monkeypatch.setattr(susy.SusyBlock, name, property(refuse))
+    monkeypatch.setattr(susy.SusyBlock, "a_mp", refuse)
+    monkeypatch.setattr(radial.RadialOperator, "matrix", property(refuse))
+    for argv, ref in zip(argvs, reference):
+        got = run(capsys, argv)
+        assert got[0] == 0
+        assert got == ref
+
+
 @pytest.mark.parametrize("out_format,digest", [
     ("text", "097da9e9d48a5fc275c7f08fd0765637343c689c415af1ad6c8eec3cc189dfed"),
     ("csv", "4ea8a9c4af9cf6b61dd0b6930ac4ad7b3668f4afc43817683b78bb5d322c4e61"),
@@ -286,6 +316,10 @@ def test_out_file_matches_stdout(capsys, tmp_path):
      "unrecognized arguments: --grid-points 5"),
     (["levels", "--D", "3", "--n-max", "1", "--r-max", "3"],
      "unrecognized arguments: --r-max 3"),
+    (["kernel", "--D", "3", "--r-max", "3"],
+     "unrecognized arguments: --r-max 3"),
+    (["verify", "--clifford-only", "--D", "3", "--zalpha", "5"],
+     "verify --clifford-only does not take --zalpha"),
     (["verify", "--clifford-only", "--D", "3", "--grid-points", "5"],
      "verify --clifford-only does not take --grid-points"),
     (["verify", "--clifford-only", "--D", "3", "--r-max", "3"],

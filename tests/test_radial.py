@@ -260,6 +260,11 @@ def test_layout_validation():
     grid = default_grid(P3, SECTOR_P, n_points=60)
     with pytest.raises(ValueError):
         build_radial_hamiltonian(P3, SECTOR_P, grid, layout="diagonal")
+    csr = radial._sector_csr(P3, SECTOR_P, grid)
+    with pytest.raises(ValueError, match="layout"):
+        radial.RadialOperator(P3, SECTOR_P, grid, csr, layout="diagonal")
+    with pytest.raises(ValueError, match="shape"):
+        radial.RadialOperator(P3, SECTOR_P, grid, csr[:-1])
 
 
 def test_matrix_is_immutable():
@@ -267,6 +272,17 @@ def test_matrix_is_immutable():
     op = build_radial_hamiltonian(P3, SECTOR_P, grid)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 1.0
+
+
+def test_operator_stores_csr_and_derives_matrix():
+    grid = default_grid(P3, SECTOR_P, n_points=60)
+    op = build_radial_hamiltonian(P3, SECTOR_P, grid)
+    assert "matrix" not in vars(op)
+    assert op.csr.format == "csr" and op.csr.nnz == 6 * 60 - 2
+    assert np.array_equal(op.matrix, op.csr.toarray())
+    assert op.matrix is op.matrix
+    with pytest.raises(ValueError):
+        op.csr.data[0] = 1.0
 
 
 @pytest.mark.parametrize("sign,n_prime0", [(1, 0), (-1, 1)])

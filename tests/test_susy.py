@@ -81,11 +81,15 @@ def test_block_assembly_structure():
     assert np.array_equal(block.H_block[:n2, :n2], block.minus.matrix)
     assert np.array_equal(block.H_block[n2:, n2:], block.plus.matrix)
     assert np.count_nonzero(block.H_block[:n2, n2:]) == 0
-    diag = np.diagonal(block.K_block)
-    assert np.all(diag[:n2] == -1.0) and np.all(diag[n2:] == 1.0)
+    assert block.K.dtype == np.float64 and block.K.shape == (2 * n2,)
+    assert np.all(block.K[:n2] == -1.0) and np.all(block.K[n2:] == 1.0)
+    assert np.array_equal(block.K_block, np.diag(block.K))
+    assert np.count_nonzero(block.K_block) == 2 * n2
     assert block.minus.layout == radial.SWAPPED
     assert block.plus.layout == radial.STANDARD
-    assert block.A_block is None and block.eta is None
+    assert block.A is None and block.A_block is None and block.eta is None
+    for view in (block.H_block, block.K_block, block.K):
+        assert not view.flags.writeable
 
 
 def test_build_A_returns_new_immutable_block():
@@ -95,9 +99,56 @@ def test_build_A_returns_new_immutable_block():
     assert done is not base and done.A_block is not None
     with pytest.raises(ValueError):
         done.A_block[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        done.A.data[0] = 1.0
     n2 = 2 * done.n
     assert np.count_nonzero(done.A_block[:n2, :n2]) == 0
     assert np.array_equal(done.A_block[:n2, n2:], done.a_mp())
+    assert not done.a_mp().flags.writeable
+
+
+def test_stored_A_is_the_csr_of_the_dense_block(small_blocks):
+    # The structure verify_A_squared once took from sp.csr_matrix(A_block):
+    # sorted indices, no explicit zeros, the same floats in the same order.
+    for block in small_blocks.values():
+        a = block.A
+        ref = sp.csr_matrix(block.A_block)
+        ref.sort_indices()
+        assert a.format == "csr" and a.has_canonical_format
+        assert np.count_nonzero(a.data) == a.nnz <= 3 * a.shape[0]
+        for got, want in ((a.data, ref.data), (a.indices, ref.indices),
+                          (a.indptr, ref.indptr)):
+            assert np.array_equal(got, want)
+        a_mp = susy._assemble_a_mp(block.params, block.abs_kappa,
+                                   block.grid, block.eta)
+        assert np.array_equal(block.a_mp(), a_mp.toarray())
+
+
+def test_replace_rebuilds_dense_views():
+    # Dense forms are derived from the stored operators on first read, so a
+    # replaced A must not leave the old A_block behind.
+    block = build_A(build_susy_block(P3, 1.0, n_points=40),
+                    check_alternate=False)
+    old = block.A_block
+    n2 = 2 * block.n
+    defect = sp.csr_matrix(([0.25], ([0], [n2])), shape=block.A.shape)
+    planted = replace(block, A=block.A + defect)
+    assert planted.A_block[0, n2] == old[0, n2] + 0.25
+    assert planted.a_mp()[0, 0] == old[0, n2] + 0.25
+    assert np.array_equal(block.A_block, old)
+    assert replace(block, A=None).A_block is None
+
+
+def test_block_rejects_a_non_canonical_A():
+    block = build_A(build_susy_block(P3, 1.0, n_points=40),
+                    check_alternate=False)
+    unsorted = block.A.copy()
+    unsorted.has_sorted_indices = False
+    for bad in (unsorted, block.A.tocoo(), block.A[:-1]):
+        with pytest.raises(ValueError, match="CSR"):
+            replace(block, A=bad)
+    with pytest.raises(ValueError, match="K shape"):
+        replace(block, K=block.K[:-1])
 
 
 def _kernel_residual(params, abs_kappa, grid, eta):
@@ -328,9 +379,9 @@ def test_kernel_annihilation_report():
 
 def test_supercharges_require_assembled_A():
     block = build_susy_block(P3, 1.0, n_points=60)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="build_A"):
         build_supercharges(block)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="build_A"):
         block.a_mp()
 
 
@@ -618,9 +669,9 @@ def test_structural_rows_exact_at_base_400():
 
 
 def _planted(block, i, j, value):
-    a = block.A_block.copy()
-    a[i, j] += value
-    return replace(block, A_block=a)
+    # A canonical CSR sum, as SusyBlock requires of its stored A.
+    defect = sp.csr_matrix(([value], ([i], [j])), shape=block.A.shape)
+    return replace(block, A=block.A + defect)
 
 
 # Negative controls for the structural pass: each planted defect breaks the
