@@ -316,10 +316,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
      "unrecognized arguments: --grid-points 5"),
     (["levels", "--D", "3", "--n-max", "1", "--r-max", "3"],
      "unrecognized arguments: --r-max 3"),
-    (["kernel", "--D", "3", "--r-max", "3"],
-     "unrecognized arguments: --r-max 3"),
-    (["verify", "--clifford-only", "--D", "3", "--zalpha", "5"],
-     "verify --clifford-only does not take --zalpha"),
     (["verify", "--clifford-only", "--D", "3", "--grid-points", "5"],
      "verify --clifford-only does not take --grid-points"),
     (["verify", "--clifford-only", "--D", "3", "--r-max", "3"],
@@ -329,6 +325,10 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["verify", "--clifford-only", "--D", "3", "--grid-points", "5",
       "--r-max", "3", "--abs-kappa", "9"],
      "does not take --grid-points, --r-max, --abs-kappa"),
+    (["kernel", "--D", "3", "--r-max", "3"],
+     "unrecognized arguments: --r-max 3"),
+    (["verify", "--clifford-only", "--D", "3", "--zalpha", "5"],
+     "verify --clifford-only does not take --zalpha"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)
