@@ -25,6 +25,9 @@ from .errors import InvalidLabelError, NormalizationError, SubcriticalError
 
 _EPS = np.finfo(float).eps
 
+# Largest zero-mode weight outside [r_min, r_max] kernel_wavefunction accepts.
+MAX_TRUNCATION = 1e-8
+
 
 @dataclass(frozen=True)
 class LevelLabel:
@@ -68,7 +71,8 @@ def ground_energy(params: PhysParams, kappa: float) -> float:
     if kappa == 0 or kappa * kappa <= za * za:
         raise SubcriticalError(f"kappa^2 = {kappa * kappa} <= (z_alpha)^2 = {za * za}")
     form_root = math.sqrt(1.0 - (za / kappa) ** 2)
-    s = math.sqrt(kappa * kappa - za * za)
+    # s as kappa_of forms it: x**2 and x*x can differ by an ulp.
+    s = math.sqrt(kappa**2 - za**2)
     form_s = (1.0 + (za / s) ** 2) ** -0.5
     assert abs(form_root - form_s) <= 16 * _EPS
     return form_s
@@ -138,7 +142,6 @@ def kernel_wavefunction(
     params: PhysParams,
     sector: KappaSector,
     grid: RadialGrid,
-    max_truncation: float = 1e-8,
 ) -> tuple:
     """Exact zero mode of the sector-swap operator, sampled on the grid.
 
@@ -148,7 +151,7 @@ def kernel_wavefunction(
     profile holds in every D (radial prefactors cancel in this reduction).
     Returned quadrature-normalized.  Raises NormalizationError for
     kappa <= 0 (no normalizable zero mode) or when the weight outside
-    [r_min, r_max] exceeds max_truncation.
+    [r_min, r_max] exceeds MAX_TRUNCATION.
     """
     if sector.kappa <= 0:
         raise NormalizationError(
@@ -162,9 +165,9 @@ def kernel_wavefunction(
     a = 2 * s + 1
     tail = special.gammainc(a, 2 * scale * grid.r_min) \
         + special.gammaincc(a, 2 * scale * grid.r_max)
-    if tail > max_truncation:
+    if tail > MAX_TRUNCATION:
         raise NormalizationError(
-            f"truncated weight {tail:.3e} exceeds {max_truncation:.3e}; "
+            f"truncated weight {tail:.3e} exceeds {MAX_TRUNCATION:.3e}; "
             "widen [r_min, r_max]"
         )
     F = x_f**s * np.exp(-x_f)

@@ -136,7 +136,12 @@ def _render(cfg: RunConfig, columns: tuple, rows: list, json_obj: dict) -> str:
 
 def _write(cfg: RunConfig, payload: str) -> None:
     if cfg.out_path:
-        with open(cfg.out_path, "w", newline="") as fh:
+        try:
+            fh = open(cfg.out_path, "w", newline="")
+        except OSError as exc:
+            raise CLIError(f"cannot write --out {cfg.out_path}: "
+                           f"{exc.strerror or exc}") from None
+        with fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -454,6 +459,9 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         raise CLIError("--n-max must be >= 1")
     if r_max is not None and not 0 < r_max < math.inf:
         raise CLIError(f"--r-max must be positive and finite, got {r_max!r}")
+    min_order = getattr(ns, "min_order", 1.8)
+    if not math.isfinite(min_order):
+        raise CLIError(f"--min-order must be finite, got {min_order!r}")
     return RunConfig(
         command=ns.command,
         d_values=d_values,
@@ -468,7 +476,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         out_format=ns.out_format,
         out_path=ns.out_path,
         clifford_only=getattr(ns, "clifford_only", False),
-        min_order=getattr(ns, "min_order", 1.8),
+        min_order=min_order,
     )
 
 

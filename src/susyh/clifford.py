@@ -163,11 +163,10 @@ def spinor_dim(D: int) -> int:
     """
     if not isinstance(D, int) or D < 2:
         raise ValueError(f"D must be an integer >= 2, got {D!r}")
-    dim = 2 ** ((D + 2) // 2)
-    if dim > MAX_SPINOR_DIM:
-        raise ValueError(f"spinor_dim {dim} exceeds cap {MAX_SPINOR_DIM} "
-                         f"(D <= {MAX_D})")
-    return dim
+    if D > MAX_D:  # before forming 2^(D/2), which a huge D cannot
+        raise ValueError(f"spinor_dim 2^{(D + 2) // 2} exceeds cap "
+                         f"{MAX_SPINOR_DIM} (D <= {MAX_D})")
+    return 2 ** ((D + 2) // 2)
 
 
 def build_gamma_rep(D: int) -> GammaRep:

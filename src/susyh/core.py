@@ -10,6 +10,7 @@ cusp of the bound states at the origin.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,10 @@ class PhysParams:
     allow_free: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.D, int) or self.D < 2:
-            raise ValueError(f"D must be an integer >= 2, got {self.D!r}")
+        if (not isinstance(self.D, int)
+                or not 2 <= self.D <= sys.float_info.max):
+            raise ValueError(f"D must be an integer >= 2 within double "
+                             f"range, got {self.D!r}")
         for name in ("z_alpha", "m"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -79,12 +82,17 @@ def kappa_of(params: PhysParams, l: int, sign: int) -> KappaSector:
         raise ValueError(f"l must be a non-negative integer, got {l!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    abs_kappa = l + (params.D - 1) / 2
-    if abs_kappa**2 <= params.z_alpha**2:
+    try:
+        abs_kappa = l + (params.D - 1) / 2
+        kappa_sq = abs_kappa**2
+    except OverflowError:
+        raise ValueError(f"kappa^2 overflows a double at l = {l}, "
+                         f"D = {params.D}") from None
+    if kappa_sq <= params.z_alpha**2:
         raise SubcriticalError(
-            f"kappa^2 = {abs_kappa**2} <= (z_alpha)^2 = {params.z_alpha**2}"
+            f"kappa^2 = {kappa_sq} <= (z_alpha)^2 = {params.z_alpha**2}"
         )
-    s = math.sqrt(abs_kappa**2 - params.z_alpha**2)
+    s = math.sqrt(kappa_sq - params.z_alpha**2)
     return KappaSector(l=l, sign=sign, kappa=sign * abs_kappa, s=s)
 
 

@@ -38,6 +38,11 @@ from .errors import ConvergenceError, GridError, SpuriousSpectrumError
 STANDARD = "standard"   # F on grid.nodes, G on grid.nodes_small
 SWAPPED = "swapped"     # F on grid.nodes_small, G on grid.nodes
 
+# solve_bound_levels' gates: the largest sign-flip fraction of a level's F
+# and G, and how near (in m) a level of the doubled grid must lie.
+SPURIOUS_THRESHOLD = 0.5
+STABILITY_TOL = 0.02
+
 
 class TruncationWarning(UserWarning):
     """Fewer bound levels resolvable than requested."""
@@ -72,22 +77,6 @@ class RadialOperator:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         return _read_only(self.csr.toarray())
-
-    @property
-    def nodes_f(self) -> np.ndarray:
-        return _layout_nodes(self.grid, self.layout)[0]
-
-    @property
-    def nodes_g(self) -> np.ndarray:
-        return _layout_nodes(self.grid, self.layout)[1]
-
-    @property
-    def weights_f(self) -> np.ndarray:
-        return _layout_weights(self.grid, self.layout)[0]
-
-    @property
-    def weights_g(self) -> np.ndarray:
-        return _layout_weights(self.grid, self.layout)[1]
 
 
 def _layout_nodes(grid: RadialGrid, layout: str) -> tuple:
@@ -147,9 +136,15 @@ def build_radial_hamiltonian(
     of opposite-kappa sectors share one cross block exactly (the structure
     the sector-swap operator requires).  The operator is stored as the CSR
     of _sector_csr, which is exactly symmetric; no dense matrix is built.
+    Raises GridError, as solve_bound_levels does, when the off-diagonal is
+    too large for the eigensolver (near-critical walls).
     """
-    return RadialOperator(params=params, sector=sector, grid=grid,
-                          csr=_sector_csr(params, sector, grid, layout),
+    csr = _sector_csr(params, sector, grid, layout)
+    n = grid.n_points
+    # The F rows' entries in G columns are the tridiagonal's off-diagonal.
+    top = csr.indptr[n]
+    _check_offdiagonal(csr.data[:top][csr.indices[:top] >= n], grid)
+    return RadialOperator(params=params, sector=sector, grid=grid, csr=csr,
                           layout=layout)
 
 
@@ -492,9 +487,7 @@ def solve_bound_levels(
     grid: RadialGrid,
     layout: str = STANDARD,
     count: int = 4,
-    spurious_threshold: float = 0.5,
     stability_check: bool = True,
-    stability_tol: float = 0.02,
 ) -> list:
     """Bound levels of a sector Hamiltonian, ascending, as Eigenpairs.
 
@@ -503,11 +496,12 @@ def solve_bound_levels(
     counts size the window, and only the lowest levels needed are bisected
     and inverted, taken in order until count of them pass the checks or the
     window runs out.  Each candidate must pass a node-alternation filter on
-    both components (a rapidly sign-alternating vector is a discretization
-    artifact, not a bound state) and, when stability_check is set, must
-    persist within stability_tol * m under one grid doubling: a Sturm count
-    on the doubled grid's bands must find a window eigenvalue within
-    stability_tol * m of it, so no doubled-grid eigenpairs are computed.
+    both components (a sign-alternation fraction above SPURIOUS_THRESHOLD
+    marks a discretization artifact, not a bound state) and, when
+    stability_check is set, must persist within STABILITY_TOL * m under one
+    grid doubling: a Sturm count on the doubled grid's bands must find a
+    window eigenvalue within STABILITY_TOL * m of it, so no doubled-grid
+    eigenpairs are computed.
     The result is the first count levels of the whole window that pass.
     Raises SpuriousSpectrumError if filtering rejects every candidate,
     ConvergenceError on solver failure, GridError when the bands are too
@@ -543,14 +537,14 @@ def solve_bound_levels(
         for j, val in enumerate(vals):
             f, g = _split_doublet(layout, grid, vecs[:, j])
             if max(_alternation_fraction(f),
-                   _alternation_fraction(g)) > spurious_threshold:
+                   _alternation_fraction(g)) > SPURIOUS_THRESHOLD:
                 continue
             passed_filter += 1
             # Stable: the doubled grid has a window level within
-            # stability_tol * m of this one.
+            # STABILITY_TOL * m of this one.
             if fine is None or _count_in(
-                    *fine, max(lo, val - stability_tol * m),
-                    min(hi, val + stability_tol * m)):
+                    *fine, max(lo, val - STABILITY_TOL * m),
+                    min(hi, val + STABILITY_TOL * m)):
                 kept.append((val, f, g))
     if not passed_filter:
         raise SpuriousSpectrumError(
@@ -582,15 +576,12 @@ def solve_bound_levels(
 def solve_spectrum(
     op: RadialOperator,
     count: int = 4,
-    spurious_threshold: float = 0.5,
     stability_check: bool = True,
-    stability_tol: float = 0.02,
 ) -> list:
     """solve_bound_levels on the operator's params, sector, grid and layout:
     its bands are the same floats as the tridiagonal entries of op.csr."""
     return solve_bound_levels(op.params, op.sector, op.grid, op.layout,
-                              count, spurious_threshold, stability_check,
-                              stability_tol)
+                              count, stability_check)
 
 
 @dataclass(frozen=True)

@@ -63,11 +63,21 @@ from .errors import ConventionError, PairingError
 
 MAX_ELEMENT_EXACT = "max_element_exact"
 INTERIOR_RMS = "interior_rms_bound_states"
-RELATIVE_ERROR = "relative_error"
 
 # Residual entries within this factor of their own floating-point noise
 # floor carry no truncation signal and are dropped from refinement norms.
 ROUNDOFF_FLOOR_FACTOR = 32.0
+
+# Pass/fail gates, one constant each so that every path judges alike.
+# Smallest residual ratio per grid doubling that a refinement row of
+# verify_A_squared or KernelReport.passed accepts (second order gives 4).
+MIN_REFINEMENT_RATIO = 3.5
+# Largest relative error of the zero mode's Rayleigh quotient against the
+# closed-form ground level that KernelReport.passed accepts.
+RQ_TOL = 1e-5
+# Largest partner gap, in units of m, that a PairingReport passes; a minus
+# level this close to two plus levels makes the matching ambiguous.
+PAIRING_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,10 @@ class SusyBlock:
     +|kappa| over the plus sector), and A as one (4n, 4n) CSR matrix
     [[0, A_mp], [A_mp^T, 0]] with sorted indices and no explicit zeros.  A
     and eta are populated by build_A; the block is immutable (its arrays
-    are read-only), so build_A returns a new instance.  H_block, K_block,
-    A_block and a_mp() are dense read-only forms built from the stored
-    operators only when read; dataclasses.replace does not carry them over.
-    No library path reads them.
+    are read-only), so build_A returns a new instance.  H_block, K_block
+    and A_block are dense read-only forms built from the stored operators
+    only when read; dataclasses.replace does not carry them over.  No
+    library path reads them.
     """
 
     params: PhysParams
@@ -129,16 +139,12 @@ class SusyBlock:
     def A_block(self) -> np.ndarray | None:
         return None if self.A is None else radial._read_only(self.A.toarray())
 
-    def a_mp(self) -> np.ndarray:
-        """Upper-right block of A: maps plus-sector vectors to minus rows."""
-        if self.A is None:
-            raise ValueError("A not assembled; call build_A first")
-        n2 = 2 * self.n
-        return radial._read_only(self.A[:n2, n2:].toarray())
-
 
 def sector_pair(params: PhysParams, abs_kappa: float) -> tuple:
     """(minus, plus) KappaSector for a given |kappa| = l + (D-1)/2."""
+    if not math.isfinite(abs_kappa * abs_kappa):
+        raise ValueError(f"abs_kappa must be finite, with a finite square, "
+                         f"got {abs_kappa!r}")
     l_float = abs_kappa - (params.D - 1) / 2
     l = round(l_float)
     if l < 0 or abs(l_float - l) > 1e-12:
@@ -441,7 +447,6 @@ class SusyVerification:
     abs_kappa: float
     n_points: tuple
     rows: tuple
-    diagnostics: dict
 
     @property
     def all_passed(self) -> bool:
@@ -464,10 +469,8 @@ def _fit_order(ns, residuals) -> float:
 
 def verify_A_squared(
     block: SusyBlock,
-    min_ratio: float = 3.5,
     refinements: int = 2,
     ensemble: int = 4,
-    include_raw: bool = False,
 ) -> SusyVerification:
     """Verify the full operator algebra of the block.
 
@@ -483,20 +486,18 @@ def verify_A_squared(
     [H, A] = 0, are genuine discretizations: their residuals are measured by
     action on the lowest `ensemble` bound states plus the zero mode, on
     interior rows, over `refinements` (at least 1) grid doublings, and must
-    shrink by min_ratio per doubling.  Each level, the base included,
-    assembles only A_mp (with the block's eta), H+ and H- as CSR (at most 3
-    nonzeros per row), so the ladder costs O(n) per state.  Sparse products
-    sum in another order than dense ones, which moves the reported residuals
-    by up to about 1e-5 relative where entries sit at the edge of the
-    roundoff mask.  Entries at their own roundoff floor are dropped first
-    (see _floor_masked); without that the blocks with s < 1/2 fail
-    spuriously, because rows pinned at the inner wall amplify machine noise
-    by 1/(step * r)^2 under the composed operators.  Raw operator norms of
-    those residual matrices, formed as sparse products, are reported in
-    diagnostics when include_raw is set; they diverge like 1/step because
-    rows near the origin carry 1/r-weighted coefficients with no bound-state
-    support, which is why the bound-state seminorm is the contractual
-    metric.
+    shrink by MIN_REFINEMENT_RATIO per doubling.  Each level, the base
+    included, assembles only A_mp (with the block's eta), H+ and H- as CSR
+    (at most 3 nonzeros per row), so the ladder costs O(n) per state.
+    Sparse products sum in another order than dense ones, which moves the
+    reported residuals by up to about 1e-5 relative where entries sit at the
+    edge of the roundoff mask.  Entries at their own roundoff floor are
+    dropped first (see _floor_masked); without that the blocks with s < 1/2
+    fail spuriously, because rows pinned at the inner wall amplify machine
+    noise by 1/(step * r)^2 under the composed operators.  The bound-state
+    seminorm is the metric because raw operator norms of the residual
+    matrices diverge like 1/step: rows near the origin carry 1/r-weighted
+    coefficients with no bound-state support.
     """
     if refinements < 1:
         raise ValueError(
@@ -538,7 +539,6 @@ def verify_A_squared(
               (q_plus @ q_minus + q_minus @ q_plus - a @ a).data)
 
     ns, eq6_res, comm_res, kern_res = [], [], [], []
-    diagnostics: dict = {"raw_norms": []} if include_raw else {}
     params, ak = blk.params, blk.abs_kappa
     factor = (ak / params.z_alpha) ** 2
     m = params.m
@@ -572,31 +572,13 @@ def verify_A_squared(
         comm_res.append(float(np.sqrt(np.mean(np.square(comm)))))
         kern_res.append(interior_norm(
             _floor_masked(av[:, -1], a_abs @ va[:, -1]), n, 2))
-        if include_raw:
-            eye = sp.identity(2 * n, format="csr")
-            r_eq6_mat = a_mp.T @ a_mp - eye \
-                - factor * ((hp @ hp) / m**2 - eye)
-            r_comm_mat = hm @ a_mp - a_mp @ hp
-            raw = {"n_points": n}
-            # Sparse sums and products store each entry once, so norms of
-            # .data are the norms of the whole matrix.
-            for name, mat in (("eq6", r_eq6_mat), ("commutator", r_comm_mat)):
-                raw[f"{name}_frobenius"] = float(np.linalg.norm(mat.data))
-                raw[f"{name}_max_element"] = float(
-                    np.max(np.abs(mat.data), initial=0.0))
-            diagnostics["raw_norms"].append(raw)
-    if include_raw:
-        diagnostics["raw_norms_note"] = (
-            "raw matrix norms do not converge: near-wall rows carry 1/r "
-            "coefficients that grow under refinement; use the bound-state rows"
-        )
 
     def refine_row(name, res, margin_note=INTERIOR_RMS):
         ratios = tuple(a_ / b_ for a_, b_ in zip(res[:-1], res[1:]))
         rows.append(VerifyRow(
             name=name, norm_type=margin_note, residual=res[-1],
             refinement_order=_fit_order(ns, res),
-            passed=all(r >= min_ratio for r in ratios),
+            passed=all(r >= MIN_REFINEMENT_RATIO for r in ratios),
             residuals=tuple(res), ratios=ratios,
         ))
 
@@ -604,8 +586,7 @@ def verify_A_squared(
     refine_row("commutator_h_a", comm_res)
     refine_row("kernel_annihilation", kern_res)
     return SusyVerification(params=blk.params, abs_kappa=blk.abs_kappa,
-                            n_points=tuple(ns), rows=tuple(rows),
-                            diagnostics=diagnostics)
+                            n_points=tuple(ns), rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -618,7 +599,8 @@ class PairingRow:
 
 @dataclass(frozen=True)
 class PairingReport:
-    """Measured SUSY pairing between the two sectors of one block."""
+    """Measured SUSY pairing between the two sectors of one block; tol
+    records the PAIRING_TOL it was judged with."""
 
     params: PhysParams
     abs_kappa: float
@@ -640,9 +622,10 @@ class PairingReport:
 
 
 def _match_levels(params: PhysParams, abs_kappa: float,
-                  e_minus: list, e_plus: list, tol: float) -> PairingReport:
+                  e_minus: list, e_plus: list) -> PairingReport:
     if not e_plus:
         raise PairingError("no bound levels resolved in the plus sector")
+    tol = PAIRING_TOL
     rows = []
     reason = ""
     for j, em in enumerate(e_minus):
@@ -691,22 +674,21 @@ def spectral_pairing_at(
     grid: RadialGrid = None,
     n_points: int = 800,
     count: int = 3,
-    tol: float = 1e-5,
 ) -> PairingReport:
     """Solve both sectors of the block and match levels across the SUSY map.
 
     The expected structure is minus-level j <-> plus-level j+1 with the
-    plus-sector ground state unpaired.  A minus level lying within tol of
-    two plus levels makes the matching ambiguous: PairingError.  Gaps
-    exceeding tol or a Witten index != 1 are reported as a failed pairing,
-    not an exception.  Both sectors are solved from their bands
-    (radial.solve_bound_levels), in O(n) memory.
+    plus-sector ground state unpaired.  A minus level lying within
+    PAIRING_TOL of two plus levels makes the matching ambiguous:
+    PairingError.  Gaps exceeding PAIRING_TOL or a Witten index != 1 are
+    reported as a failed pairing, not an exception.  Both sectors are
+    solved from their bands (radial.solve_bound_levels), in O(n) memory.
 
     With grid=None the block default grid is used, widened if needed so the
     count-th level's exponential tail fits the box (see _pairing_grid).
     Gaps shrink like the square of the step, so a block whose pairing sits
-    above tol on that grid (small s makes the cusp expensive) just needs
-    more points.
+    above PAIRING_TOL on that grid (small s makes the cusp expensive) just
+    needs more points.
     """
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
     if grid is None:
@@ -719,7 +701,7 @@ def spectral_pairing_at(
                                             count=count)
     return _match_levels(params, abs_kappa,
                          [p.energy for p in minus_pairs],
-                         [p.energy for p in plus_pairs], tol)
+                         [p.energy for p in plus_pairs])
 
 
 @dataclass(frozen=True)
@@ -736,11 +718,11 @@ class KernelReport:
     ground_exact: float
     rq_rel_error: float
 
-    def passed(self, min_order: float = 1.9, min_ratio: float = 3.5,
-               rq_tol: float = 1e-5) -> bool:
+    def passed(self, min_order: float = 1.9) -> bool:
+        """min_order is set by --min-order; the other gates are constants."""
         return (self.fitted_order >= min_order
-                and all(r >= min_ratio for r in self.ratios)
-                and self.rq_rel_error <= rq_tol)
+                and all(r >= MIN_REFINEMENT_RATIO for r in self.ratios)
+                and self.rq_rel_error <= RQ_TOL)
 
 
 def kernel_annihilation_report(

@@ -125,7 +125,7 @@ def test_clifford_only_range_is_checked_before_any_work(capsys, monkeypatch):
                         lambda rep: calls.append(rep.D))
     rc, out, err = run(capsys, ["verify", "--clifford-only", "--D", "31:32"])
     assert (rc, out, calls) == (2, "", [])
-    assert err == "error: spinor_dim 131072 exceeds cap 65536 (D <= 31)\n"
+    assert err == "error: spinor_dim 2^17 exceeds cap 65536 (D <= 31)\n"
 
 
 def test_kernel_default_family(capsys):
@@ -252,7 +252,6 @@ def test_verify_and_kernel_read_no_dense_view(capsys, monkeypatch):
 
     for name in ("H_block", "K_block", "A_block"):
         monkeypatch.setattr(susy.SusyBlock, name, property(refuse))
-    monkeypatch.setattr(susy.SusyBlock, "a_mp", refuse)
     monkeypatch.setattr(radial.RadialOperator, "matrix", property(refuse))
     for argv, ref in zip(argvs, reference):
         got = run(capsys, argv)
@@ -272,6 +271,14 @@ def test_clifford_output_is_pinned(capsys, out_format, digest):
                                 "--format", out_format])
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, ["levels", "--D", "3", "--out", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: cannot write --out {path}: "
+                   "No such file or directory\n")
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
@@ -329,6 +336,22 @@ def test_out_file_matches_stdout(capsys, tmp_path):
      "unrecognized arguments: --r-max 3"),
     (["verify", "--clifford-only", "--D", "3", "--zalpha", "5"],
      "verify --clifford-only does not take --zalpha"),
+    # The block's sector assembly runs the bisection overflow guard.
+    (["verify", "--D", "2", "--zalpha", "0.4998"], "wall_factor"),
+    (["verify", "--D", "2", "--zalpha", "0.4999"], "wall_factor"),
+    # Out-of-range numbers are named instead of overflowing.
+    (["verify", "--D", "3", "--abs-kappa", "inf"], "abs_kappa must be finite"),
+    (["verify", "--D", "3", "--abs-kappa", "1e300"],
+     "abs_kappa must be finite"),
+    (["kernel", "--D", "3", "--abs-kappa", "nan"], "abs_kappa must be finite"),
+    (["spectrum", "--D", "3", "--l", "1" + "0" * 400],
+     "kappa^2 overflows a double"),
+    (["spectrum", "--D", "1" + "0" * 400], "within double range"),
+    (["verify", "--clifford-only", "--D", "1" + "0" * 400], "exceeds cap"),
+    (["kernel", "--D", "3", "--min-order", "nan"],
+     "--min-order must be finite"),
+    (["convergence", "--D", "3", "--min-order", "inf"],
+     "--min-order must be finite"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)

@@ -197,8 +197,8 @@ def test_eigenpair_normalization():
     grid = default_grid(P3, SECTOR_P, n_points=800)
     pair = solve_bound_levels(P3, SECTOR_P, grid, count=1)[0]
     F, G = pair.doublet
-    op = build_radial_hamiltonian(P3, SECTOR_P, grid)
-    norm = op.weights_f @ F**2 + op.weights_g @ G**2
+    # STANDARD layout: F on grid.nodes, G on grid.nodes_small.
+    norm = grid.weights @ F**2 + grid.weights_small @ G**2
     assert abs(norm - 1.0) < 1e-12
     # Small-component weight for the nodeless state: c^2/(1+c^2) with
     # c = (kappa - s)/(Z alpha).
@@ -244,10 +244,11 @@ def test_free_limit_has_no_bound_states():
     assert pairs == []
 
 
-def test_spurious_filter_can_reject_everything():
+def test_spurious_filter_can_reject_everything(monkeypatch):
     grid = default_grid(P3, SECTOR_P, n_points=200)
+    monkeypatch.setattr(radial, "SPURIOUS_THRESHOLD", -1.0)
     with pytest.raises(SpuriousSpectrumError):
-        solve_bound_levels(P3, SECTOR_P, grid, spurious_threshold=-1.0)
+        solve_bound_levels(P3, SECTOR_P, grid)
 
 
 def test_negative_count_is_rejected():
@@ -336,8 +337,7 @@ def _reference_window(d, e, m):
                             tol=2.0 * np.finfo(np.float64).tiny)
 
 
-def _reference_solve(params, sector, grid, layout, count,
-                     spurious_threshold=0.5, stability_tol=0.02):
+def _reference_solve(params, sector, grid, layout, count):
     vals, vecs = _reference_window(
         *radial._sector_bands(params, sector, grid, layout), params.m)
     if vals.size == 0:
@@ -349,7 +349,7 @@ def _reference_solve(params, sector, grid, layout, count,
         f, g = radial._split_doublet(layout, grid, vecs[:, j])
         alt = max(radial._alternation_fraction(f),
                   radial._alternation_fraction(g))
-        if alt <= spurious_threshold:
+        if alt <= radial.SPURIOUS_THRESHOLD:
             keep.append(j)
             doublets.append((f, g))
     if not keep:
@@ -360,7 +360,7 @@ def _reference_solve(params, sector, grid, layout, count,
         params.m)
     stable = [j for j, v in enumerate(vals)
               if ref_vals.size and np.min(np.abs(ref_vals - v))
-              <= stability_tol * params.m]
+              <= radial.STABILITY_TOL * params.m]
     if not stable:
         raise SpuriousSpectrumError("no candidate persisted")
     if len(stable) < count:
@@ -375,13 +375,12 @@ def _reference_solve(params, sector, grid, layout, count,
     return out
 
 
-def _solve_both(params, sector, grid, layout, count, **kwargs):
+def _solve_both(params, sector, grid, layout, count):
     runs = []
     for solve in (_reference_solve, solve_bound_levels):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            levels = solve(params, sector, grid, layout=layout, count=count,
-                           **kwargs)
+            levels = solve(params, sector, grid, layout=layout, count=count)
         runs.append((levels, [str(w.message) for w in caught
                               if w.category is TruncationWarning]))
     return runs
@@ -468,14 +467,14 @@ def test_stability_rejection_extends_past_requested_levels(monkeypatch, count):
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-300])
-def test_tiny_stability_tol_rejects_everything(tol):
+def test_tiny_stability_tol_rejects_everything(monkeypatch, tol):
     # Levels move by ~1e-6 m under grid doubling; 1e-300 m is below one
     # ulp of every level, so its count interval is empty.
     grid = default_grid(P3, SECTOR_P, n_points=200)
+    monkeypatch.setattr(radial, "STABILITY_TOL", tol)
     for solve in (_reference_solve, solve_bound_levels):
         with pytest.raises(SpuriousSpectrumError, match="persisted"):
-            solve(P3, SECTOR_P, grid, layout=STANDARD, count=3,
-                  stability_tol=tol)
+            solve(P3, SECTOR_P, grid, layout=STANDARD, count=3)
 
 
 # --- The band operator type: every operation against its dense form. ---
@@ -586,6 +585,25 @@ def test_near_critical_wall_overflow_is_typed():
     grid = default_grid(p, sector, n_points=800, wall_factor=1e-154)
     with pytest.raises(GridError, match="wall_factor"):
         radial._sector_bands(p, sector, grid, STANDARD)
+
+
+@pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
+def test_hamiltonian_assembly_runs_the_overflow_guard(layout):
+    # build_radial_hamiltonian (and so build_susy_block) refuses the bands
+    # that bisection cannot take, exactly where _sector_bands does.
+    p = PhysParams(D=2, z_alpha=0.4999)
+    sector = kappa_of(p, 0, 1 if layout == STANDARD else -1)
+    for wall in (1e-152, 1e-154, None):
+        grid = default_grid(p, sector, wall_factor=wall)
+        try:
+            radial._sector_bands(p, sector, grid, layout)
+        except GridError:
+            with pytest.raises(GridError, match="wall_factor"):
+                build_radial_hamiltonian(p, sector, grid, layout=layout)
+            assert wall != 1e-152
+        else:
+            build_radial_hamiltonian(p, sector, grid, layout=layout)
+            assert wall == 1e-152
 
 
 def test_non_finite_eigenvectors_are_typed():

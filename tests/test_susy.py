@@ -103,8 +103,7 @@ def test_build_A_returns_new_immutable_block():
         done.A.data[0] = 1.0
     n2 = 2 * done.n
     assert np.count_nonzero(done.A_block[:n2, :n2]) == 0
-    assert np.array_equal(done.A_block[:n2, n2:], done.a_mp())
-    assert not done.a_mp().flags.writeable
+    assert np.array_equal(done.A_block[n2:, :n2], done.A_block[:n2, n2:].T)
 
 
 def test_stored_A_is_the_csr_of_the_dense_block(small_blocks):
@@ -121,7 +120,8 @@ def test_stored_A_is_the_csr_of_the_dense_block(small_blocks):
             assert np.array_equal(got, want)
         a_mp = susy._assemble_a_mp(block.params, block.abs_kappa,
                                    block.grid, block.eta)
-        assert np.array_equal(block.a_mp(), a_mp.toarray())
+        n2 = 2 * block.n
+        assert np.array_equal(block.A_block[:n2, n2:], a_mp.toarray())
 
 
 def test_replace_rebuilds_dense_views():
@@ -134,7 +134,6 @@ def test_replace_rebuilds_dense_views():
     defect = sp.csr_matrix(([0.25], ([0], [n2])), shape=block.A.shape)
     planted = replace(block, A=block.A + defect)
     assert planted.A_block[0, n2] == old[0, n2] + 0.25
-    assert planted.a_mp()[0, 0] == old[0, n2] + 0.25
     assert np.array_equal(block.A_block, old)
     assert replace(block, A=None).A_block is None
 
@@ -235,7 +234,7 @@ def test_build_A_with_alternate_check_small_s():
 
 def test_verify_A_squared_full_suite():
     block = build_susy_block(P3, 1.0, n_points=200)
-    verification = verify_A_squared(build_A(block), include_raw=True)
+    verification = verify_A_squared(build_A(block))
     assert verification.all_passed
     assert verification.n_points == (200, 400, 800)
     by_name = {r.name: r for r in verification.rows}
@@ -254,11 +253,6 @@ def test_verify_A_squared_full_suite():
         assert len(row.residuals) == 3
         assert all(r >= 3.5 for r in row.ratios)
         assert row.norm_type == susy.INTERIOR_RMS
-    # Raw matrix norms are diagnostics only: wall rows make them diverge.
-    raw = verification.diagnostics["raw_norms"]
-    assert [d["n_points"] for d in raw] == [200, 400, 800]
-    assert raw[-1]["eq6_frobenius"] > raw[0]["eq6_frobenius"]
-    assert "raw_norms_note" in verification.diagnostics
 
 
 def test_verify_A_squared_small_s_block():
@@ -326,13 +320,13 @@ def test_spectral_pairing_defaults_pass_on_small_s_block():
     assert 0.0 < report.max_gap < 1e-5
 
 
-def _block_pairing(block, count=3, tol=1e-5):
+def _block_pairing(block, count=3):
     """Reference: pairing from the block's dense sector operators."""
     plus = radial.solve_spectrum(block.plus, count=count + 1)
     minus = radial.solve_spectrum(block.minus, count=count)
     return susy._match_levels(block.params, block.abs_kappa,
                               [p.energy for p in minus],
-                              [p.energy for p in plus], tol)
+                              [p.energy for p in plus])
 
 
 def test_pairing_paths_agree_bitwise():
@@ -345,25 +339,27 @@ def test_pairing_paths_agree_bitwise():
         assert (a.energy_minus, a.energy_plus) == (b.energy_minus, b.energy_plus)
 
 
-def test_pairing_ambiguity_at_absurd_tolerance():
+def test_pairing_ambiguity_at_absurd_tolerance(monkeypatch):
     grid = default_grid(P3, sector_pair(P3, 1.0)[1], n_points=200)
+    monkeypatch.setattr(susy, "PAIRING_TOL", 0.5)
     with pytest.raises(PairingError):
-        spectral_pairing_at(P3, 1.0, grid=grid, tol=0.5)
+        spectral_pairing_at(P3, 1.0, grid=grid)
 
 
 def test_pairing_requires_plus_levels():
     with pytest.raises(PairingError):
-        susy._match_levels(P3, 1.0, [0.9], [], tol=1e-5)
+        susy._match_levels(P3, 1.0, [0.9], [])
 
 
-def test_pairing_reports_missing_partner():
-    report = susy._match_levels(P3, 1.0, [0.96, 0.985], [0.866, 0.9659],
-                                tol=1e-3)
+def test_pairing_reports_missing_partner(monkeypatch):
+    monkeypatch.setattr(susy, "PAIRING_TOL", 1e-3)
+    report = susy._match_levels(P3, 1.0, [0.96, 0.985], [0.866, 0.9659])
+    assert report.tol == 1e-3
     assert report.reason
     assert not report.passed
 
 
-def test_kernel_annihilation_report():
+def test_kernel_annihilation_report(monkeypatch):
     report = kernel_annihilation_report(P3, 1.0)
     assert report.n_points == (200, 400, 800, 1600)
     assert report.passed()
@@ -374,15 +370,33 @@ def test_kernel_annihilation_report():
     assert abs(report.rayleigh_quotient - report.ground_exact) < 1e-5
     assert report.rq_rel_error < 1e-5
     # Tighter thresholds must be able to fail it.
-    assert not report.passed(rq_tol=1e-9)
+    monkeypatch.setattr(susy, "RQ_TOL", 1e-9)
+    assert not report.passed()
+
+
+def test_one_refinement_gate_for_verify_and_kernel(small_blocks,
+                                                   monkeypatch):
+    # verify's refinement rows and the kernel study read one constant:
+    # raised just past every ratio they measured, it fails all of them.
+    refine = ("a_squared_identity", "commutator_h_a", "kernel_annihilation")
+    block = small_blocks[(3, 1.0)]
+    rows = {r.name: r for r in verify_A_squared(block).rows}
+    report = kernel_annihilation_report(P3, 1.0)
+    assert all(r.passed for r in rows.values()) and report.passed()
+    ratios = list(report.ratios)
+    for name in refine:
+        ratios += rows[name].ratios
+    monkeypatch.setattr(susy, "MIN_REFINEMENT_RATIO",
+                        float(np.nextafter(max(ratios), np.inf)))
+    rows = {r.name: r for r in verify_A_squared(block).rows}
+    assert [name for name, r in rows.items() if not r.passed] == list(refine)
+    assert not report.passed()
 
 
 def test_supercharges_require_assembled_A():
     block = build_susy_block(P3, 1.0, n_points=60)
     with pytest.raises(ValueError, match="build_A"):
         build_supercharges(block)
-    with pytest.raises(ValueError, match="build_A"):
-        block.a_mp()
 
 
 @pytest.mark.parametrize("abs_kappa", [0.7, 0.5, 3.3])
@@ -449,8 +463,7 @@ def _dense_charges(block):
             q_plus @ q_minus + q_minus @ q_plus)
 
 
-def _dense_verify(block, min_ratio=3.5, refinements=2, ensemble=4,
-                  include_raw=False):
+def _dense_verify(block, refinements=2, ensemble=4):
     """The dense verify_A_squared: structural rows with dense K and complex
     Q2, refinement rows by dense matvecs on fully assembled levels."""
     a, k = block.A_block, block.K_block
@@ -467,7 +480,7 @@ def _dense_verify(block, min_ratio=3.5, refinements=2, ensemble=4,
             for name, mat in exact.items()}
     params, ak, m = block.params, block.abs_kappa, block.params.m
     factor = (ak / params.z_alpha) ** 2
-    ns, eq6_res, comm_res, kern_res, raw = [], [], [], [], []
+    ns, eq6_res, comm_res, kern_res = [], [], [], []
     grid = block.grid
     for level in range(refinements + 1):
         if level:
@@ -501,22 +514,11 @@ def _dense_verify(block, min_ratio=3.5, refinements=2, ensemble=4,
         comm_res.append(float(np.sqrt(np.mean(np.square(comm)))))
         kern_res.append(interior_norm(
             susy._floor_masked(a_mp @ vk, a_abs @ np.abs(vk)), n, 2))
-        if include_raw:
-            r_eq6_mat = a_mp.T @ a_mp - np.eye(2 * n) \
-                - factor * ((hp @ hp) / m**2 - np.eye(2 * n))
-            r_comm_mat = hm @ a_mp - a_mp @ hp
-            raw.append({
-                "n_points": n,
-                "eq6_frobenius": float(np.linalg.norm(r_eq6_mat)),
-                "eq6_max_element": float(np.max(np.abs(r_eq6_mat))),
-                "commutator_frobenius": float(np.linalg.norm(r_comm_mat)),
-                "commutator_max_element": float(np.max(np.abs(r_comm_mat))),
-            })
     for name, res in (("a_squared_identity", eq6_res),
                       ("commutator_h_a", comm_res),
                       ("kernel_annihilation", kern_res)):
         rows[name] = (tuple(res), susy._fit_order(ns, res))
-    return rows, raw
+    return rows
 
 
 def _dense_kernel_study(params, abs_kappa, n_points, eta):
@@ -536,8 +538,8 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _assert_matches_dense(verification, block, include_raw=False):
-    ref, raw = _dense_verify(block, include_raw=include_raw)
+def _assert_matches_dense(verification, block):
+    ref = _dense_verify(block)
     ref_flags = {}
     for row in verification.rows:
         residual, order = ref[row.name]
@@ -551,12 +553,6 @@ def _assert_matches_dense(verification, block, include_raw=False):
             assert _rel(new, old) <= 1e-4, row.name
         assert abs(row.refinement_order - order) <= 1e-5, row.name
     assert {r.name: r.passed for r in verification.rows} == ref_flags
-    if include_raw:
-        got = verification.diagnostics["raw_norms"]
-        assert [d["n_points"] for d in got] == [d["n_points"] for d in raw]
-        for new, old in zip(got, raw):
-            for key in old:
-                assert _rel(new[key], old[key]) <= 1e-4, key
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
@@ -591,10 +587,9 @@ def test_sparse_ladder_matches_dense_reference(small_blocks, case):
     _assert_matches_dense(verify_A_squared(block), block)
 
 
-def test_sparse_ladder_matches_dense_reference_with_raw():
+def test_sparse_ladder_matches_dense_reference_at_base_200():
     block = build_A(build_susy_block(P3, 1.0, n_points=200))
-    verification = verify_A_squared(block, include_raw=True)
-    _assert_matches_dense(verification, block, include_raw=True)
+    _assert_matches_dense(verify_A_squared(block), block)
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
