@@ -27,6 +27,12 @@ _EPS = np.finfo(float).eps
 
 # Largest zero-mode weight outside [r_min, r_max] kernel_wavefunction accepts.
 MAX_TRUNCATION = 1e-8
+# NonrelReport.passed: each coupling halving divides the deviation by
+# NONREL_RATIO to within relative NONREL_RTOL.  InterdimReport.passed:
+# largest relative energy difference.
+NONREL_RATIO = 4.0
+NONREL_RTOL = 0.2
+INTERDIM_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,8 @@ class NonrelReport:
     z_alphas: tuple
     rows: tuple
 
-    def passed(self, expected: float = 4.0, rtol: float = 0.2) -> bool:
-        return all(abs(r / expected - 1.0) <= rtol
+    def passed(self) -> bool:
+        return all(abs(r / NONREL_RATIO - 1.0) <= NONREL_RTOL
                    for row in self.rows for r in row.ratios)
 
 
@@ -258,8 +264,8 @@ class InterdimReport:
     def max_rel_diff(self) -> float:
         return max(r.rel_diff for r in self.rows)
 
-    def passed(self, tol: float = 1e-15) -> bool:
-        return self.max_rel_diff <= tol
+    def passed(self) -> bool:
+        return self.max_rel_diff <= INTERDIM_TOL
 
 
 def interdimensional_check(params: PhysParams, l: int, n_prime: int) -> InterdimReport:

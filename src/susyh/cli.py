@@ -13,6 +13,10 @@ validation errors.  Runs are deterministic: repeated invocations produce
 byte-identical output.  Floats are printed at up to 17 significant digits
 (%.17g in csv/text; shortest round-trip in json, which is exact to the same
 guarantee).
+
+Each flag and its default are declared once, in build_parser; the commands
+read the namespace argparse returns, once _checked has validated it.  Any
+command's warnings print to stderr as `notice: <message>` lines.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 
 from . import analytic, clifford, radial, susy
 from .core import PhysParams, default_grid, kappa_of
@@ -46,26 +49,6 @@ KERNEL_FAMILY = (200, 400, 800, 1600)
 
 class CLIError(Exception):
     """Invalid flag combination or value; maps to exit status 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: command, physics, selectors, output."""
-
-    command: str
-    d_values: tuple
-    z_alpha: float
-    l: int = 0
-    sign: int = 1
-    abs_kappa: float | None = None
-    levels: int = 3
-    n_max: int = 4
-    grid_points: tuple = ()
-    r_max: float | None = None
-    out_format: str = "text"
-    out_path: str | None = None
-    clifford_only: bool = False
-    min_order: float = 1.8
 
 
 def _parse_d_range(text: str) -> tuple:
@@ -110,16 +93,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render(cfg: RunConfig, columns: tuple, rows: list, json_obj: dict) -> str:
+def _render(ns: argparse.Namespace, columns: tuple, rows: list,
+            json_obj: dict) -> str:
     """One deterministic string in the requested format.
 
     rows are sequences aligned with columns; json_obj is the full document
     for json output (insertion-ordered keys).
     """
-    if cfg.out_format == "json":
+    if ns.out_format == "json":
         return json.dumps(json_obj, indent=2) + "\n"
     cells = [[_fmt(v) for v in row] for row in rows]
-    if cfg.out_format == "csv":
+    if ns.out_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -134,12 +118,12 @@ def _render(cfg: RunConfig, columns: tuple, rows: list, json_obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(cfg: RunConfig, payload: str) -> None:
-    if cfg.out_path:
+def _write(ns: argparse.Namespace, payload: str) -> None:
+    if ns.out_path:
         try:
-            fh = open(cfg.out_path, "w", newline="")
+            fh = open(ns.out_path, "w", newline="")
         except OSError as exc:
-            raise CLIError(f"cannot write --out {cfg.out_path}: "
+            raise CLIError(f"cannot write --out {ns.out_path}: "
                            f"{exc.strerror or exc}") from None
         with fh:
             fh.write(payload)
@@ -147,50 +131,39 @@ def _write(cfg: RunConfig, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _single_d(cfg: RunConfig) -> int:
-    if len(cfg.d_values) != 1:
-        raise CLIError(f"{cfg.command} needs a single --D, got a range")
-    return cfg.d_values[0]
-
-
-def _make_params(cfg: RunConfig, D: int) -> PhysParams:
+def _make_params(ns: argparse.Namespace, D: int) -> PhysParams:
     try:
-        return PhysParams(D=D, z_alpha=cfg.z_alpha)
+        return PhysParams(D=D, z_alpha=ns.zalpha)
     except ValueError as exc:
         raise CLIError(str(exc))
 
 
-def _grid_for(cfg: RunConfig, params: PhysParams, sector, n_points: int):
-    if cfg.r_max is None:
+def _grid_for(ns: argparse.Namespace, sector, n_points: int):
+    params = ns.params
+    if ns.r_max is None:
         return default_grid(params, sector, n_points=n_points)
     unit = sector.abs_kappa / (params.z_alpha * params.m)
     return default_grid(params, sector, n_points=n_points,
-                        r_max_factor=cfg.r_max / unit)
+                        r_max_factor=ns.r_max / unit)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    D = _single_d(cfg)
-    params = _make_params(cfg, D)
-    sector = kappa_of(params, cfg.l, cfg.sign)
-    n_points = cfg.grid_points[0] if cfg.grid_points else DEFAULT_GRID_POINTS
-    grid = _grid_for(cfg, params, sector, n_points)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pairs = radial.solve_bound_levels(params, sector, grid,
-                                          count=cfg.levels)
-    for w in caught:
-        print(f"notice: {w.message}", file=sys.stderr)
+def cmd_spectrum(ns: argparse.Namespace) -> int:
+    params = ns.params
+    sector = kappa_of(params, ns.l, ns.sign)
+    n_points = ns.grid_points[0] if ns.grid_points else DEFAULT_GRID_POINTS
+    grid = _grid_for(ns, sector, n_points)
+    pairs = radial.solve_bound_levels(params, sector, grid, count=ns.levels)
     columns = ("D", "z_alpha", "l", "sign", "kappa", "level_index",
                "E_over_m", "norm_weight_small", "analytic_E_over_m",
                "abs_diff", "rel_diff")
     rows = []
     for k, pair in enumerate(pairs):
-        n_prime = k if cfg.sign > 0 else k + 1
-        label = analytic.LevelLabel(n=cfg.l + 1 + n_prime, l=cfg.l,
-                                    sign=cfg.sign)
+        n_prime = k if ns.sign > 0 else k + 1
+        label = analytic.LevelLabel(n=ns.l + 1 + n_prime, l=ns.l,
+                                    sign=ns.sign)
         exact = analytic.energy(params, label)
         diff = pair.energy - exact
-        rows.append([D, params.z_alpha, cfg.l, cfg.sign, sector.kappa, k,
+        rows.append([params.D, params.z_alpha, ns.l, ns.sign, sector.kappa, k,
                      pair.energy, pair.norm_weight_small, exact,
                      abs(diff), abs(diff) / exact])
     json_obj = {
@@ -201,7 +174,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "r_max": grid.r_max,
         "rows": [dict(zip(columns, r)) for r in rows],
     }
-    _write(cfg, _render(cfg, columns, rows, json_obj))
+    _write(ns, _render(ns, columns, rows, json_obj))
     return EXIT_OK
 
 
@@ -215,20 +188,21 @@ def _clifford_rows(D: int) -> list:
              "pass": row.passed} for row in report.rows]
 
 
-def _susy_block_rows(cfg: RunConfig, params: PhysParams,
-                     abs_kappa: float) -> list:
-    base = cfg.grid_points[0] if cfg.grid_points else DEFAULT_VERIFY_BASE
-    block = susy.build_susy_block(params, abs_kappa, n_points=base)
+def _susy_block_rows(ns: argparse.Namespace) -> list:
+    params, abs_kappa = ns.params, ns.abs_kappa
+    base = ns.grid_points[0] if ns.grid_points else DEFAULT_VERIFY_BASE
+    plus_sector = susy.sector_pair(params, abs_kappa)[1]
+    block = susy.build_susy_block(params, abs_kappa,
+                                  grid=_grid_for(ns, plus_sector, base))
     verification = susy.verify_A_squared(susy.build_A(block))
     prefix = f"D{params.D}:k{abs_kappa:g}:"
     rows = [dict(r.to_dict(), name=prefix + r.name)
             for r in verification.rows]
     pair_n = base * 4
-    if cfg.r_max is None:
+    if ns.r_max is None:
         report = susy.spectral_pairing_at(params, abs_kappa, n_points=pair_n)
     else:
-        grid = _grid_for(cfg, params,
-                         susy.sector_pair(params, abs_kappa)[1], pair_n)
+        grid = _grid_for(ns, plus_sector, pair_n)
         report = susy.spectral_pairing_at(params, abs_kappa, grid=grid)
     rows.append({"name": prefix + "witten_index_is_one",
                  "norm_type": "count",
@@ -243,24 +217,18 @@ def _susy_block_rows(cfg: RunConfig, params: PhysParams,
     return rows
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.clifford_only:
-        for D in cfg.d_values:  # the whole range, before any check runs
+def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.clifford_only:
+        for D in ns.D:  # the whole range, before any check runs
             clifford.spinor_dim(D)
-        rows = [r for D in cfg.d_values for r in _clifford_rows(D)]
+        rows = [r for D in ns.D for r in _clifford_rows(D)]
     else:
-        D = _single_d(cfg)
-        params = _make_params(cfg, D)
-        abs_kappa = cfg.abs_kappa
-        if abs_kappa is None:
-            abs_kappa = (D - 1) / 2
-        rows = _clifford_rows(D)
-        rows += _susy_block_rows(cfg, params, abs_kappa)
+        rows = _clifford_rows(ns.params.D) + _susy_block_rows(ns)
     columns = ("name", "norm_type", "residual", "refinement_order", "pass")
     table = [[r[c] for c in columns] for r in rows]
     all_passed = all(r["pass"] for r in rows)
     json_obj = {"command": "verify", "rows": rows, "pass": all_passed}
-    _write(cfg, _render(cfg, columns, table, json_obj))
+    _write(ns, _render(ns, columns, table, json_obj))
     if not all_passed:
         first = next(r["name"] for r in rows if not r["pass"])
         print(f"FAILED: {first}", file=sys.stderr)
@@ -268,14 +236,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
-    D = _single_d(cfg)
-    params = _make_params(cfg, D)
-    abs_kappa = cfg.abs_kappa if cfg.abs_kappa is not None else (D - 1) / 2
-    family = cfg.grid_points or KERNEL_FAMILY
-    report = susy.kernel_annihilation_report(params, abs_kappa,
+def cmd_kernel(ns: argparse.Namespace) -> int:
+    params = ns.params
+    family = ns.grid_points or KERNEL_FAMILY
+    report = susy.kernel_annihilation_report(params, ns.abs_kappa,
                                              n_points=family)
-    passed = report.passed(min_order=cfg.min_order)
+    passed = report.passed(min_order=ns.min_order)
     columns = ("n_points", "residual", "ratio", "fitted_order",
                "rayleigh_quotient", "rq_rel_error", "pass")
     rows = []
@@ -285,7 +251,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
                      report.rayleigh_quotient, report.rq_rel_error, passed])
     json_obj = {
         "command": "kernel",
-        "D": D, "z_alpha": params.z_alpha, "abs_kappa": abs_kappa,
+        "D": params.D, "z_alpha": params.z_alpha, "abs_kappa": ns.abs_kappa,
         "n_points": list(report.n_points),
         "residuals": list(report.residuals),
         "ratios": list(report.ratios),
@@ -295,13 +261,13 @@ def cmd_kernel(cfg: RunConfig) -> int:
         "rq_rel_error": report.rq_rel_error,
         "pass": passed,
     }
-    _write(cfg, _render(cfg, columns, rows, json_obj))
+    _write(ns, _render(ns, columns, rows, json_obj))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_levels(cfg: RunConfig) -> int:
-    family = [_make_params(cfg, d) for d in cfg.d_values]
-    rows = analytic.level_scheme_export(family, n_max=cfg.n_max).rows
+def cmd_levels(ns: argparse.Namespace) -> int:
+    family = [_make_params(ns, d) for d in ns.D]
+    rows = analytic.level_scheme_export(family, n_max=ns.n_max).rows
     bottoms = Counter()
     for r in rows:
         bottoms[r.D, r.l] += r.is_ladder_bottom
@@ -310,11 +276,11 @@ def cmd_levels(cfg: RunConfig) -> int:
     table = [[getattr(r, c) for c in columns] for r in rows]
     json_obj = {
         "command": "levels",
-        "z_alpha": cfg.z_alpha, "n_max": cfg.n_max,
+        "z_alpha": ns.zalpha, "n_max": ns.n_max,
         "rows": [dict(zip(columns, t)) for t in table],
         "pass": not bad,
     }
-    _write(cfg, _render(cfg, columns, table, json_obj))
+    _write(ns, _render(ns, columns, table, json_obj))
     if bad:
         print(f"FAILED: ladders without a unique bottom: {bad}",
               file=sys.stderr)
@@ -322,14 +288,13 @@ def cmd_levels(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
-    D = _single_d(cfg)
-    params = _make_params(cfg, D)
-    sector = kappa_of(params, cfg.l, cfg.sign)
-    points = cfg.grid_points or (200, 400, 800)
-    grids = [_grid_for(cfg, params, sector, n) for n in points]
-    report = radial.convergence_study(params, sector, grids, count=cfg.levels)
-    passed = report.min_fitted_order >= cfg.min_order
+def cmd_convergence(ns: argparse.Namespace) -> int:
+    params = ns.params
+    sector = kappa_of(params, ns.l, ns.sign)
+    points = ns.grid_points or (200, 400, 800)
+    grids = [_grid_for(ns, sector, n) for n in points]
+    report = radial.convergence_study(params, sector, grids, count=ns.levels)
+    passed = report.min_fitted_order >= ns.min_order
     columns = ("level_index", "n_points", "E_over_m", "exact_E_over_m",
                "abs_error", "ratio", "fitted_order")
     rows = []
@@ -340,17 +305,17 @@ def cmd_convergence(cfg: RunConfig) -> int:
                          lv.errors[j], ratio, lv.fitted_order])
     json_obj = {
         "command": "convergence",
-        "D": D, "z_alpha": params.z_alpha, "l": cfg.l, "sign": cfg.sign,
+        "D": params.D, "z_alpha": params.z_alpha, "l": ns.l, "sign": ns.sign,
         "kappa": sector.kappa,
         "n_points": list(report.n_points),
         "min_fitted_order": report.min_fitted_order,
         "rows": [dict(zip(columns, r)) for r in rows],
         "pass": passed,
     }
-    _write(cfg, _render(cfg, columns, rows, json_obj))
+    _write(ns, _render(ns, columns, rows, json_obj))
     if not passed:
         print(f"FAILED: min fitted order {report.min_fitted_order:.3f} "
-              f"< {cfg.min_order}", file=sys.stderr)
+              f"< {ns.min_order}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -430,54 +395,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
+def _checked(ns: argparse.Namespace) -> argparse.Namespace:
+    """Validate ns in place, parse its text values, and return it.
+
+    Every command but levels and verify --clifford-only then needs a single
+    --D and gets ns.params and the default --abs-kappa, (D-1)/2.
+    """
     if ns.D is None:
-        d_values = (2, 3, 4, 5, 6, 7, 8, 9) if ns.command == "levels" \
+        ns.D = (2, 3, 4, 5, 6, 7, 8, 9) if ns.command == "levels" \
             else (DEFAULT_D,)
     else:
-        d_values = _parse_d_range(ns.D)
-    grid_text = getattr(ns, "grid_points", None)
-    r_max = getattr(ns, "r_max", None)
-    if getattr(ns, "clifford_only", False):
-        block_flags = (("--grid-points", grid_text), ("--r-max", r_max),
+        ns.D = _parse_d_range(ns.D)
+    clifford_only = ns.command == "verify" and ns.clifford_only
+    if clifford_only:
+        block_flags = (("--grid-points", ns.grid_points), ("--r-max", ns.r_max),
                        ("--abs-kappa", ns.abs_kappa), ("--zalpha", ns.zalpha))
         given = [flag for flag, value in block_flags if value is not None]
         if given:
             raise CLIError(f"verify --clifford-only does not take "
                            f"{', '.join(given)}")
-    grid_points = _parse_points(grid_text) if grid_text else ()
-    family = ns.command in ("kernel", "convergence")
-    if grid_points and family != (len(grid_points) > 1):
-        shape = "a comma list of two or more sizes" if family else "one size"
-        raise CLIError(f"{ns.command} --grid-points takes {shape}, "
-                       f"got {grid_text!r}")
-    levels = getattr(ns, "levels", 3)
-    if levels < 1:
+    if "grid_points" in ns:
+        grid_text = ns.grid_points
+        ns.grid_points = _parse_points(grid_text) if grid_text else ()
+        family = ns.command in ("kernel", "convergence")
+        if ns.grid_points and family != (len(ns.grid_points) > 1):
+            shape = "a comma list of two or more sizes" if family \
+                else "one size"
+            raise CLIError(f"{ns.command} --grid-points takes {shape}, "
+                           f"got {grid_text!r}")
+    if "levels" in ns and ns.levels < 1:
         raise CLIError("--levels must be >= 1")
-    n_max = getattr(ns, "n_max", 4)
-    if n_max < 1:
+    if "n_max" in ns and ns.n_max < 1:
         raise CLIError("--n-max must be >= 1")
-    if r_max is not None and not 0 < r_max < math.inf:
-        raise CLIError(f"--r-max must be positive and finite, got {r_max!r}")
-    min_order = getattr(ns, "min_order", 1.8)
-    if not math.isfinite(min_order):
-        raise CLIError(f"--min-order must be finite, got {min_order!r}")
-    return RunConfig(
-        command=ns.command,
-        d_values=d_values,
-        z_alpha=DEFAULT_Z_ALPHA if ns.zalpha is None else ns.zalpha,
-        l=getattr(ns, "l", 0),
-        sign=_parse_sign(getattr(ns, "sign", "+")),
-        abs_kappa=getattr(ns, "abs_kappa", None),
-        levels=levels,
-        n_max=n_max,
-        grid_points=grid_points,
-        r_max=r_max,
-        out_format=ns.out_format,
-        out_path=ns.out_path,
-        clifford_only=getattr(ns, "clifford_only", False),
-        min_order=min_order,
-    )
+    if "r_max" in ns and ns.r_max is not None \
+            and not 0 < ns.r_max < math.inf:
+        raise CLIError(f"--r-max must be positive and finite, "
+                       f"got {ns.r_max!r}")
+    if "min_order" in ns and not math.isfinite(ns.min_order):
+        raise CLIError(f"--min-order must be finite, got {ns.min_order!r}")
+    if ns.zalpha is None:
+        ns.zalpha = DEFAULT_Z_ALPHA
+    if "sign" in ns:
+        ns.sign = _parse_sign(ns.sign)
+    if ns.command == "levels" or clifford_only:
+        return ns
+    if len(ns.D) != 1:
+        raise CLIError(f"{ns.command} needs a single --D, got a range")
+    ns.params = _make_params(ns, ns.D[0])
+    if "abs_kappa" in ns and ns.abs_kappa is None:
+        ns.abs_kappa = (ns.D[0] - 1) / 2
+    return ns
 
 
 def main(argv=None) -> int:
@@ -486,12 +453,16 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _config_from(ns)
-        return _COMMANDS[cfg.command](cfg)
-    except (CLIError, SusyhError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _COMMANDS[ns.command](_checked(ns))
+        except (CLIError, SusyhError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            for w in caught:
+                print(f"notice: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

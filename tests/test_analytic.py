@@ -153,6 +153,14 @@ def test_interdimensional_is_bitwise():
                     assert report.passed()
 
 
+def test_interdimensional_gate_reads_the_module_constant(monkeypatch):
+    # The energies are bitwise equal, so only a negative tolerance fails.
+    report = interdimensional_check(PhysParams(D=5, z_alpha=0.5), 0, 1)
+    assert report.passed()
+    monkeypatch.setattr(analytic, "INTERDIM_TOL", -1.0)
+    assert not report.passed()
+
+
 def test_interdimensional_guards():
     with pytest.raises(InvalidLabelError):
         interdimensional_check(P3, 0, 1)
@@ -165,10 +173,21 @@ def test_interdimensional_guards():
 @pytest.mark.parametrize("D", [3, 5])
 def test_nonrel_limit_scales_quadratically(D):
     report = nonrel_limit_check(PhysParams(D=D, z_alpha=0.2))
-    assert report.passed(expected=4.0, rtol=0.2)
+    assert report.passed()
     for row in report.rows:
         for ratio in row.ratios:
             assert 3.2 <= ratio <= 4.8
+
+
+@pytest.mark.parametrize("name,value", [
+    ("NONREL_RATIO", 2.0),  # a deviation linear in Z alpha
+    ("NONREL_RTOL", 1e-3),  # D = 3 ratios reach 1.6% off 4
+])
+def test_nonrel_gate_reads_the_module_constants(monkeypatch, name, value):
+    report = nonrel_limit_check(P3)
+    assert report.passed()
+    monkeypatch.setattr(analytic, name, value)
+    assert not report.passed()
 
 
 def test_nonrel_frozen_row():

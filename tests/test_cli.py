@@ -107,6 +107,46 @@ def test_verify_small_s_block_passes_by_default(capsys):
     assert by_name["D2:k0.5:a_squared_identity"]["refinement_order"] > 1.9
 
 
+def test_verify_r_max_sets_the_block_grid(capsys):
+    # The default box at D = 3, Z alpha = 0.5 ends at 60 |kappa| / (Z alpha
+    # m) = 120, so --r-max 120 reproduces the default run; any other radius
+    # moves the refinement rows, not only the pairing rows.
+    argv = ["verify", "--D", "3", "--format", "json"]
+    default = run(capsys, argv)
+    assert run(capsys, argv + ["--r-max", "120"]) == default
+    wide = run(capsys, argv + ["--r-max", "200"])
+    assert (default[0], default[2], wide[0], wide[2]) == (0, "", 0, "")
+
+    def refinement_rows(out):
+        return {r["name"]: r["residual"] for r in json.loads(out)["rows"]
+                if r["refinement_order"] is not None}
+
+    base, moved = refinement_rows(default[1]), refinement_rows(wide[1])
+    assert len(base) == 3 and base.keys() == moved.keys()
+    assert all(moved[name] != base[name] for name in base)
+    # A box too short for the zero mode fails the block run itself.
+    rc, out, err = run(capsys, ["verify", "--D", "3", "--r-max", "20"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: truncated weight")
+
+
+@pytest.mark.parametrize("argv,tail", [
+    (["verify", "--D", "3", "--r-max", "30"],
+     "FAILED: D3:k1:spectral_pairing_max_gap\n"),
+    (["convergence", "--D", "3", "--levels", "6", "--r-max", "30"],
+     "error: grid with n_points=200 resolved only 3 of 6 levels\n"),
+])
+def test_library_warnings_become_notices(capsys, argv, tail):
+    # notice lines follow the command's own stderr, with no raw warning text.
+    rc, _, err = run(capsys, argv)
+    assert rc in (1, 2)
+    first, _, notices = err.partition("\n")
+    assert first + "\n" == tail
+    assert notices and all(line.startswith("notice: only ")
+                           for line in notices.splitlines())
+    assert "Warning" not in err
+
+
 def test_verify_clifford_only_range(capsys):
     rc, out, _ = run(capsys, ["verify", "--clifford-only", "--D", "2:6",
                               "--format", "json"])
