@@ -153,6 +153,13 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     n_points = ns.grid_points[0] if ns.grid_points else DEFAULT_GRID_POINTS
     grid = _grid_for(ns, sector, n_points)
     pairs = radial.solve_bound_levels(params, sector, grid, count=ns.levels)
+    if not pairs:
+        # The window ends 1e-12 m below m: Z alpha below about 1.4e-6 (at
+        # D = 3) binds by less than that, and a box too small holds nothing.
+        knobs = "--zalpha" + (" or --r-max" if ns.r_max is not None else "")
+        raise SusyhError(
+            f"no bound level in the window (0, m) on this grid at z_alpha = "
+            f"{params.z_alpha:g}; pass a larger {knobs}")
     columns = ("D", "z_alpha", "l", "sign", "kappa", "level_index",
                "E_over_m", "norm_weight_small", "analytic_E_over_m",
                "abs_diff", "rel_diff")

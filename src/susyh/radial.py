@@ -18,6 +18,13 @@ path.  The grid is uniform in t = ln r, and the operator is assembled for
 the transformed fields e^{t/2} F(e^t), which is a unitary change, and
 eigenvectors are mapped back to physical samples.  Walls are Dirichlet: the
 component values just outside [r_min, r_max] are dropped.
+
+Bound levels are the eigenvalues in the window (0, m), found by LAPACK
+bisection (stebz) and inverse iteration (stein) on those bands.  Only the
+levels a caller uses are bisected to full precision: a coarse pass over the
+window finds the interval of the bisection tree that holds each level, and
+bisection resumed from that interval ends on the same float as a
+bisection of the whole window (_window_levels).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from . import analytic
 from .core import KappaSector, PhysParams, RadialGrid
@@ -397,13 +404,14 @@ def _split_doublet(layout: str, grid: RadialGrid, column: np.ndarray) -> tuple:
 # precision of the eigenvalue itself.
 _FULL_PRECISION = 2.0 * np.finfo(np.float64).tiny
 
+# _window_levels' coarse tolerance, in units of m, and the factor by which a
+# node that holds both wanted and unwanted levels is split further.
+_COARSE_TOL = 1e-2
+_RESPLIT = 32
+# dstebz's relative tolerance: twice its ulp, dlamch('P') = 2^-52.
+_RELTOL = 2.0 * np.finfo(np.float64).eps
 
-def _eigh(d: np.ndarray, e: np.ndarray, **kwargs):
-    """eigh_tridiagonal by bisection (stebz), with LAPACK failures typed."""
-    try:
-        return eigh_tridiagonal(d, e, lapack_driver="stebz", **kwargs)
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 
 
 def _check_vectors(vecs: np.ndarray, e: np.ndarray) -> None:
@@ -427,58 +435,119 @@ def _window_bounds(m: float) -> tuple:
     return tiny, m - tiny
 
 
+def _bisect(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
+            tol: float) -> tuple:
+    """stebz by value over (lo, hi] to tolerance tol: (how many eigenvalues
+    lie there, their values ascending)."""
+    size, w, _, _, info = _STEBZ(d, e, 1, lo, hi, 0, 0, tol, "E")
+    if info:
+        raise ConvergenceError(f"tridiagonal bisection failed: stebz info={info}")
+    return size, w[:size]
+
+
 def _count_in(d: np.ndarray, e: np.ndarray, lo: float, hi: float) -> int:
     """Number of eigenvalues in (lo, hi].
 
     A bisection tolerance as wide as the interval stops stebz after its
-    Sturm counts at the ends, so this costs a few O(n) passes.
+    Sturm counts at the ends and the midpoint, so this costs a few O(n)
+    passes.
     """
-    if not lo < hi:
-        return 0
-    return _eigh(d, e, eigvals_only=True, select="v",
-                 select_range=(lo, hi), tol=hi - lo).size
+    return _bisect(d, e, lo, hi, hi - lo)[0] if lo < hi else 0
 
 
-def _window(d: np.ndarray, e: np.ndarray, m: float) -> tuple:
-    """(index of the first eigenvalue in the window, how many lie there)."""
-    # Gershgorin puts every eigenvalue at or above min(d) - 2 max|e|, which
-    # is below -m because the G rows carry -m; twice it is strictly below.
-    floor = 2.0 * (d.min() - 2.0 * np.abs(e).max())
-    lo, hi = _window_bounds(m)
-    return _count_in(d, e, floor, lo), _count_in(d, e, lo, hi)
+def _converged(a: float, b: float, tol: float, pivmin: float) -> bool:
+    """dstebz's stopping rule for the interval (a, b]."""
+    return b - a < max(tol, pivmin, _RELTOL * max(abs(a), abs(b)))
 
 
-def _bound_window_solve(d: np.ndarray, e: np.ndarray, m: float,
-                        count: int) -> tuple:
-    """The lowest `count` eigenpairs in the window, ascending.
+def _node_of(v: float, a: float, b: float, tol: float,
+             pivmin: float) -> tuple:
+    """The interval that bisection from (a, b] to tolerance tol ends in
+    when it returns the value v, found by halving as dlaebz does."""
+    while True:
+        c = 0.5 * (a + b)
+        a, b = (c, b) if v > c else (a, c)
+        if _converged(a, b, tol, pivmin):
+            return a, b
 
-    The whole window is bisected by value whatever count is, so the
-    eigenvalues are the same floats as the full-window solve, and inverse
-    iteration (stein) runs for the first count only; its vectors are then
-    those of the full solve too.  Bisecting only those levels by index
-    starts from another interval and moves them by an ulp, which the
-    roundoff mask of susy's refinement ladder amplifies to about 3e-5 in a
-    fitted order (D = 2, |kappa| = 1/2, n = 80).
+
+def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
+                 count: int, tol: float, pivmin: float):
+    """(how many eigenvalues lie in the bisection node (a, b], the lowest
+    count of them at full precision), or None when a node is not found
+    again.  See _window_levels."""
+    size, coarse = _bisect(d, e, a, b, tol)
+    if count >= size:
+        return size, _bisect(d, e, a, b, _FULL_PRECISION)[1]
+    levels = []
+    for v, k in zip(*np.unique(coarse, return_counts=True)):
+        if len(levels) >= count:
+            break
+        na, nb = _node_of(v, a, b, tol, pivmin)
+        if 0.5 * (na + nb) != v:
+            return None
+        if _converged(na, nb, _FULL_PRECISION, pivmin):
+            # The full-precision pass stops here too, at the same midpoint.
+            got = k, np.full(k, v)
+        elif len(levels) + k > count:
+            got = _node_levels(d, e, na, nb, count - len(levels),
+                               tol / _RESPLIT, pivmin)
+        else:
+            got = _bisect(d, e, na, nb, _FULL_PRECISION)
+        if got is None or got[0] != k:
+            return None
+        levels.extend(got[1])
+    return size, np.array(levels[:count])
+
+
+def _window_levels(d: np.ndarray, e: np.ndarray, m: float,
+                   count: int) -> tuple:
+    """(how many eigenvalues lie in the bound window, the lowest count of
+    them ascending), bitwise the values of one full-precision stebz pass
+    over the whole window.
+
+    Bisection as dstebz runs it (Barth, Martin & Wilkinson 1967, in LAPACK's
+    dlaebz) halves intervals at 0.5 * (a + b), starting from (lo, hi], and
+    stops an interval once b - a < max(tol, pivmin, 2 eps max(|a|, |b|)).
+    Each value it returns is the midpoint of the interval (node) it stops
+    in, and that node, its Sturm counts and everything bisected below it
+    are fixed by the node alone.  So a coarse pass finds the window size
+    and one node per cluster of levels; only the nodes that hold one of
+    the lowest count levels are bisected on at full precision, each from
+    its own (a, b], which gives the whole-window pass's values.  A node
+    that also holds unwanted levels is split the same way at a tolerance
+    _RESPLIT times finer, and so on down: at weak coupling the levels
+    crowd below m (Z alpha = 0.1 binds by at most 5e-3 m), where one
+    split leaves most of them in a node.  If a node is not found again (a
+    LAPACK whose bisection differs), the whole window is bisected.
     """
     lo, hi = _window_bounds(m)
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    size, w, iblock, isplit, info = stebz(d, e, 1, lo, hi, 0, 0,
-                                          _FULL_PRECISION, "B")
-    if info:
-        raise ConvergenceError(f"tridiagonal bisection failed: stebz info={info}")
-    # stein wants the chosen values grouped by split-off block, as stebz
-    # ordered them; the bands here never split, so this is the first count.
-    lowest = np.sort(np.argsort(w[:size], kind="stable")[:count])
-    if not lowest.size:
-        return w[:0], np.zeros((d.size, 0))
-    chosen = iblock.copy()
-    chosen[:lowest.size] = iblock[lowest]
-    vecs, info = stein(d, e, w[lowest], chosen, isplit)
+    # dstebz's pivot floor: the underflow threshold times max(1, max e^2).
+    e2_max = float(np.max(e * e, initial=0.0))
+    pivmin = np.finfo(np.float64).tiny * max(1.0, e2_max)
+    got = _node_levels(d, e, lo, hi, count, _COARSE_TOL * m, pivmin)
+    if got is None:
+        size, values = _bisect(d, e, lo, hi, _FULL_PRECISION)
+        return size, values[:count]
+    return got
+
+
+def _eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Inverse iteration (stein) for the ascending eigenvalues w, one
+    column each; non-finite vectors raise GridError.
+
+    The bands are passed as one block: they never split, and where an
+    off-diagonal did fall below dstebz's split threshold the coupling it
+    drops is below roundoff anyway.
+    """
+    n = d.size
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.full(n, n, dtype=np.int32)
+    vecs, info = _STEIN(d, e, w, iblock, isplit)
     if info:
         raise ConvergenceError(f"inverse iteration failed: stein info={info}")
     _check_vectors(vecs, e)
-    order = np.argsort(w[lowest], kind="stable")
-    return w[lowest][order], vecs[:, order]
+    return vecs
 
 
 def solve_bound_levels(
@@ -492,16 +561,16 @@ def solve_bound_levels(
     """Bound levels of a sector Hamiltonian, ascending, as Eigenpairs.
 
     The tridiagonal bands are assembled straight from the grid, so memory
-    stays O(n).  Eigenvalues are taken in the open window (0, m).  Sturm
-    counts size the window, and only the lowest levels needed are bisected
-    and inverted, taken in order until count of them pass the checks or the
-    window runs out.  Each candidate must pass a node-alternation filter on
-    both components (a sign-alternation fraction above SPURIOUS_THRESHOLD
-    marks a discretization artifact, not a bound state) and, when
-    stability_check is set, must persist within STABILITY_TOL * m under one
-    grid doubling: a Sturm count on the doubled grid's bands must find a
-    window eigenvalue within STABILITY_TOL * m of it, so no doubled-grid
-    eigenpairs are computed.
+    stays O(n).  Eigenvalues are taken in the window (0, m), lowest first,
+    and only as many are bisected and inverted as it takes to keep count of
+    them: _window_levels bisects just those levels, to the same floats as a
+    bisection of the whole window.  Each candidate must pass a
+    node-alternation filter on both components (a sign-alternation fraction
+    above SPURIOUS_THRESHOLD marks a discretization artifact, not a bound
+    state) and, when stability_check is set, must persist within
+    STABILITY_TOL * m under one grid doubling: a Sturm count on the doubled
+    grid's bands must find a window eigenvalue within STABILITY_TOL * m of
+    it, so no doubled-grid eigenpairs are computed.
     The result is the first count levels of the whole window that pass.
     Raises SpuriousSpectrumError if filtering rejects every candidate,
     ConvergenceError on solver failure, GridError when the bands are too
@@ -512,7 +581,11 @@ def solve_bound_levels(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     m = params.m
-    first, size = _window(*bands, m)
+    # At least one level, so that a window of nothing but rejects still
+    # raises; the result equals filtering the whole window and taking the
+    # first `count`.
+    want = max(count, 1)
+    size, vals = _window_levels(*bands, m, want)
     if size == 0:
         warnings.warn(f"no bound levels in (0, m); requested {count}",
                       TruncationWarning)
@@ -520,21 +593,19 @@ def solve_bound_levels(
     fine = (_sector_bands(params, sector, grid.refined(2), layout)
             if stability_check else None)
     lo, hi = _window_bounds(m)
-    # Levels are bisected by index, lowest first, only as far as needed to
-    # keep `count` of them (at least one, so that a window of nothing but
-    # rejects still raises); the result equals filtering the whole window
-    # and taking the first `count`.
-    want = max(count, 1)
     kept = []
     passed_filter = 0
     done = 0
     while len(kept) < want and done < size:
+        if done == vals.size:
+            # Rejections used up the levels bisected so far (rare): bisect
+            # the rest of the window in one pass.
+            vals = _window_levels(*bands, m, size)[1]
         take = min(want - len(kept), size - done)
-        vals, vecs = _eigh(*bands, select="i", tol=_FULL_PRECISION,
-                           select_range=(first + done, first + done + take - 1))
-        _check_vectors(vecs, bands[1])
+        batch = vals[done:done + take]
+        vecs = _eigenvectors(*bands, batch)
         done += take
-        for j, val in enumerate(vals):
+        for j, val in enumerate(batch):
             f, g = _split_doublet(layout, grid, vecs[:, j])
             if max(_alternation_fraction(f),
                    _alternation_fraction(g)) > SPURIOUS_THRESHOLD:

@@ -392,6 +392,9 @@ def test_out_file_matches_stdout(capsys, tmp_path):
      "--min-order must be finite"),
     (["convergence", "--D", "3", "--min-order", "inf"],
      "--min-order must be finite"),
+    # An empty bound window is an error, not a header-only table.
+    (["spectrum", "--D", "3", "--zalpha", "1e-6"], "larger --zalpha"),
+    (["spectrum", "--D", "3", "--r-max", "1e-3"], "larger --zalpha or --r-max"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)

@@ -1,14 +1,18 @@
 """Staggered-grid radial Hamiltonians and the pollution-free eigensolver."""
 
+import importlib.util
 import itertools
 import math
+import os
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from susyh import analytic, radial
+from susyh import analytic, radial, susy
 from susyh.core import PhysParams, default_grid, kappa_of, make_grid
 from susyh.errors import GridError, SpuriousSpectrumError
 from susyh.radial import (STANDARD, SWAPPED, TruncationWarning,
@@ -324,10 +328,10 @@ def test_alternation_fraction_units():
 # Reference for the lazy window solve: the algorithm it replaced, which
 # bisects and inverts every level in the window, filters them all, and
 # re-solves the whole window on the doubled grid for the stability check.
-# Tolerances are fixed from the dtype: bisection from another starting
-# interval may end one ulp away, and inverse iteration over another subset
-# of levels moves eigenvectors at roundoff.
-ENERGY_ULPS = 4
+# The energies are bitwise those of the whole-window bisection
+# (_window_levels); inverse iteration over another subset of levels moves
+# eigenvectors at roundoff, so the doublets get a tolerance.
+ENERGY_ULPS = 0
 DOUBLET_ATOL = 1e-12
 
 
@@ -436,13 +440,13 @@ def test_rejection_extends_past_requested_levels(monkeypatch, count):
 
 
 def _reject_first_by_stability(monkeypatch):
-    # The window takes the first two Sturm counts; the third is the doubled
-    # grid's count around the lowest candidate, and an empty count there
-    # rejects it as unstable.
+    # The window levels are bisected without _count_in, so its first call
+    # is the doubled grid's count around the lowest candidate, and an empty
+    # count there rejects it as unstable.
     calls = itertools.count()
     original = radial._count_in
     monkeypatch.setattr(radial, "_count_in",
-                        lambda *args: 0 if next(calls) == 2 else original(*args))
+                        lambda *args: 0 if next(calls) == 0 else original(*args))
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -475,6 +479,91 @@ def test_tiny_stability_tol_rejects_everything(monkeypatch, tol):
     for solve in (_reference_solve, solve_bound_levels):
         with pytest.raises(SpuriousSpectrumError, match="persisted"):
             solve(P3, SECTOR_P, grid, layout=STANDARD, count=3)
+
+
+# --- _window_levels: bitwise the values of whole-window bisection. ---
+
+def _sector_domain():
+    """bench/workloads.py's sector_domain(): the `spectrum` benchmark's."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.sector_domain()
+
+
+# Tier-1 runs n = 150; SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40 and 800.
+WINDOW_POINTS = (40, 150, 800) if os.environ.get("SUSYH_BISECTION_SWEEP") \
+    else (150,)
+
+
+def _whole_window(d, e, m):
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                            select_range=radial._window_bounds(m),
+                            lapack_driver="stebz", tol=radial._FULL_PRECISION)
+
+
+def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
+    # With replayed set, a count below the window size must not bisect the
+    # whole window at full precision (every node was found again), nor any
+    # level past the count (nodes that mix in unwanted levels are split).
+    ref = _whole_window(d, e, m)
+    whole = (*radial._window_bounds(m), radial._FULL_PRECISION)
+    passes = {}
+    original = radial._bisect
+
+    def recorded(d, e, *args):
+        passes[args] = original(d, e, *args)
+        return passes[args]
+
+    for count in (1, 2, 3, 4, ref.size + 2):
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(radial, "_bisect", recorded)
+            size, values = radial._window_levels(d, e, m, count)
+        assert size == ref.size
+        assert np.array_equal(values, ref[:count])
+        assert (whole in passes) == (count >= size or not replayed)
+        if replayed and count < size:
+            assert sum(got[0] for (_, _, tol), got in passes.items()
+                       if tol == radial._FULL_PRECISION) <= count
+
+
+@pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
+@pytest.mark.parametrize("n", WINDOW_POINTS)
+def test_window_levels_equal_whole_window_bisection(monkeypatch, n, layout):
+    for D, l, sign, z_alpha in _sector_domain():
+        p = PhysParams(D=D, z_alpha=z_alpha)
+        sector = kappa_of(p, l, sign)
+        grid = default_grid(p, sector, n_points=n)
+        _assert_window_levels_bitwise(
+            monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m)
+
+
+@pytest.mark.parametrize("z_alpha,wall", [(0.4996, 1e-100), (0.4999, 1e-153)])
+@pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
+def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
+    # Near-wall rows raise dstebz's pivot floor tiny * max e^2 to 1e-107 m
+    # and, at Z alpha = 0.4999 and n = 800, to 0.05 m: coarse nodes there
+    # have already converged at full precision.
+    p = PhysParams(D=2, z_alpha=z_alpha)
+    for sign, n in itertools.product((1, -1), (150, 800)):
+        sector = kappa_of(p, 0, sign)
+        grid = default_grid(p, sector, n_points=n, wall_factor=wall)
+        _assert_window_levels_bitwise(
+            monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m)
+
+
+def test_window_levels_fall_back_when_a_node_is_lost(monkeypatch):
+    # A bisection that does not stop in the replayed nodes (another LAPACK)
+    # gets the whole-window pass instead.
+    monkeypatch.setattr(radial, "_node_of", lambda v, a, b, tol, pivmin:
+                        (a, np.nextafter(b, a)))
+    grid = default_grid(P3, SECTOR_P, n_points=150)
+    _assert_window_levels_bitwise(
+        monkeypatch, *radial._sector_bands(P3, SECTOR_P, grid, STANDARD),
+        P3.m, replayed=False)
 
 
 # --- The band operator type: every operation against its dense form. ---
@@ -579,7 +668,7 @@ def test_near_critical_wall_overflow_is_typed():
     grid = default_grid(p, sector, n_points=800, wall_factor=1e-152)
     bands = radial._sector_bands(p, sector, grid, STANDARD)
     assert np.abs(bands[1]).max() < 1e153
-    assert radial._window(*bands, p.m)[1] > 0
+    assert radial._window_levels(*bands, p.m, 0)[0] > 0
     with pytest.raises(GridError, match="non-finite.*wall_factor"):
         solve_bound_levels(p, sector, grid, count=1)
     grid = default_grid(p, sector, n_points=800, wall_factor=1e-154)
@@ -616,9 +705,8 @@ def test_non_finite_eigenvectors_are_typed():
     grid = default_grid(p, sector)
     with pytest.raises(GridError, match="non-finite.*wall_factor.*z_alpha"):
         solve_bound_levels(p, sector, grid, count=3)
-    bands = radial._sector_bands(p, sector, grid, STANDARD)
     with pytest.raises(GridError, match="non-finite"):
-        radial._bound_window_solve(*bands, p.m, 4)
+        susy._bound_columns(p, sector, grid, 4)
     grid = default_grid(p, sector, wall_factor=1e-100)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
