@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The study runs on each sector's default grid, so --r-max is rejected.
     add_common(p, DEFAULT_Z_ALPHA, r_max=False)
     p.add_argument("--abs-kappa", type=float, default=None, dest="abs_kappa")
-    p.add_argument("--min-order", type=float, default=1.9)
+    p.add_argument("--min-order", type=float, default=susy.MIN_KERNEL_ORDER)
 
     p = sub.add_parser("levels", help="level-scheme dataset across dimensions")
     add_common(p, DEFAULT_LEVELS_Z_ALPHA, grid=False)
@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--sign", default="+")
     p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--min-order", type=float, default=1.8)
+    p.add_argument("--min-order", type=float,
+                   default=radial.MIN_CONVERGENCE_ORDER)
     return parser
 
 

@@ -24,13 +24,11 @@ class PhysParams:
 
     The stability bound z_alpha < (D - 1) / 2 keeps every angular sector
     subcritical, since the smallest |kappa| equals (D - 1) / 2.
-    allow_free permits z_alpha == 0 for free-particle consistency checks.
     """
 
     D: int
     z_alpha: float
     m: float = 1.0
-    allow_free: bool = False
 
     def __post_init__(self):
         if (not isinstance(self.D, int)
@@ -43,8 +41,7 @@ class PhysParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m}")
-        lo = 0.0 if self.allow_free else None
-        if self.z_alpha < 0 or (self.z_alpha == 0 and lo is None):
+        if self.z_alpha <= 0:
             raise ValueError(f"z_alpha must be positive, got {self.z_alpha}")
         bound = (self.D - 1) / 2
         if self.z_alpha >= bound:
@@ -167,8 +164,6 @@ def default_grid(
     falls below the smallest normal double, which the default reaches as
     s -> 0 (near-critical z_alpha).
     """
-    if params.z_alpha == 0:
-        raise ValueError("default_grid needs z_alpha > 0; build an explicit grid")
     unit = sector.abs_kappa / (params.z_alpha * params.m)
     if wall_factor is None:
         wall_factor = 10.0 ** (-max(6.0, 3.0 / sector.s))

@@ -46,9 +46,11 @@ STANDARD = "standard"   # F on grid.nodes, G on grid.nodes_small
 SWAPPED = "swapped"     # F on grid.nodes_small, G on grid.nodes
 
 # solve_bound_levels' gates: the largest sign-flip fraction of a level's F
-# and G, and how near (in m) a level of the doubled grid must lie.
+# and G, and how near (in m) a level of the doubled grid must lie; then the
+# convergence command's default smallest fitted order.
 SPURIOUS_THRESHOLD = 0.5
 STABILITY_TOL = 0.02
+MIN_CONVERGENCE_ORDER = 1.8
 
 
 class TruncationWarning(UserWarning):
@@ -678,6 +680,22 @@ class ConvergenceReport:
         return min(r.fitted_order for r in self.rows)
 
 
+def check_family(ns) -> None:
+    """ValueError unless ns holds two or more increasing grid sizes."""
+    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(
+            f"grid family must have increasing n_points, got {list(ns)}")
+
+
+def refinement(ns, values) -> tuple:
+    """(successive ratios a / b, negated least-squares slope of log value
+    on log n) of values on grid sizes ns; any zero value makes all inf."""
+    if any(v == 0 for v in values):
+        return tuple(math.inf for _ in values[1:]), math.inf
+    ratios = tuple(float(a / b) for a, b in zip(values[:-1], values[1:]))
+    return ratios, -float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+
+
 def convergence_study(
     params: PhysParams,
     sector: KappaSector,
@@ -688,14 +706,12 @@ def convergence_study(
 
     The reference for level index k is the analytic energy of radial quantum
     number n' = k (kappa > 0) or n' = k + 1 (kappa < 0, which has no n' = 0
-    level).  fitted_order is the least-squares slope of log error against
-    log n_points, negated.  The family needs at least two grids with
-    increasing n_points; ValueError otherwise.
+    level).  Ratios and fitted_order of the errors follow refinement, and
+    the family must pass check_family.
     """
     grids = list(grid_family)
     ns = [g.n_points for g in grids]
-    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"grid family must have increasing n_points, got {ns}")
+    check_family(ns)
     per_level = []
     for grid in grids:
         pairs = solve_bound_levels(params, sector, grid, count=count)
@@ -713,13 +729,7 @@ def convergence_study(
                                     sign=sector.sign)
         exact = analytic.energy(params, label)
         errs = np.abs(energies[:, k] - exact)
-        if np.any(errs == 0):
-            order = float("inf")
-            ratios = tuple(float("inf") for _ in errs[1:])
-        else:
-            slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-            order = -float(slope)
-            ratios = tuple(float(a / b) for a, b in zip(errs[:-1], errs[1:]))
+        ratios, order = refinement(ns, errs)
         rows.append(ConvergenceRow(
             level_index=k, label=label, exact=exact,
             energies=tuple(float(x) for x in energies[:, k]),

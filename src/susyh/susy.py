@@ -23,7 +23,8 @@ Products with a scipy.sparse diagonal would reorder the indices of their
 result, and {Q1, Q2} and H_susy - A^2 would then come out nonzero.
 The two analytic identities that are not structural, A^2 = 1 + ... and
 [H, A] = 0, hold at second order in the grid step and are verified by
-refinement.  The refinement ladder, the kernel study and the
+refinement (ratios and fitted order from radial.refinement, with each
+study's own gate).  The refinement ladder, the kernel study and the
 alternate-assembly check act with O(n) CSR forms of A_mp and the sector
 Hamiltonians; their sums run in another order than dense products, which
 shifts reported refinement residuals by up to about 1e-5 relative.  Those
@@ -78,6 +79,16 @@ RQ_TOL = 1e-5
 # Largest partner gap, in units of m, that a PairingReport passes; a minus
 # level this close to two plus levels makes the matching ambiguous.
 PAIRING_TOL = 1e-5
+# Smallest fitted order KernelReport.passed (and kernel's --min-order)
+# takes by default, and the factor by which build_A's primary/alternate
+# zero-mode gap must shrink under one grid doubling.
+MIN_KERNEL_ORDER = 1.9
+MIN_ALTERNATE_GAP_RATIO = 1.8
+
+# verify_A_squared's ladder: doublings of the block's grid, bound states.
+REFINEMENTS = 2
+ENSEMBLE = 4
+PAIRING_COUNT = 3  # minus levels that spectral_pairing_at pairs
 
 
 @dataclass(frozen=True)
@@ -363,7 +374,7 @@ def build_A(block: SusyBlock, eta: int | None = None,
         gap = _alternate_gap(block.params, block.abs_kappa, block.grid, eta)
         gap_fine = _alternate_gap(block.params, block.abs_kappa,
                                   block.grid.refined(2), eta)
-        if not gap_fine < gap / 1.8:
+        if not gap_fine < gap / MIN_ALTERNATE_GAP_RATIO:
             raise ConventionError(
                 f"primary and alternate A assemblies do not converge to each "
                 f"other: zero-mode action gaps {gap:.3e} -> {gap_fine:.3e}"
@@ -472,15 +483,7 @@ def _bound_columns(params: PhysParams, sector: KappaSector, grid: RadialGrid,
     return np.vstack([cols[1::2], cols[0::2]])
 
 
-def _fit_order(ns, residuals) -> float:
-    return -float(np.polyfit(np.log(ns), np.log(residuals), 1)[0])
-
-
-def verify_A_squared(
-    block: SusyBlock,
-    refinements: int = 2,
-    ensemble: int = 4,
-) -> SusyVerification:
+def verify_A_squared(block: SusyBlock) -> SusyVerification:
     """Verify the full operator algebra of the block.
 
     Structural identities (A symmetric, {A, K} = 0, Q+-^2 = 0, {Q1, Q2} = 0,
@@ -493,11 +496,11 @@ def verify_A_squared(
     allocates no (4n)^2 array.
     The two analytic identities, A^2 = 1 + (K/Z alpha)^2 (H^2/m^2 - 1) and
     [H, A] = 0, are genuine discretizations: their residuals are measured by
-    action on the lowest `ensemble` bound states plus the zero mode, on
-    interior rows, over `refinements` (at least 1) grid doublings, and must
-    shrink by MIN_REFINEMENT_RATIO per doubling.  Each level, the base
-    included, assembles only A_mp (with the block's eta), H+ and H- as CSR
-    (at most 3 nonzeros per row), so the ladder costs O(n) per state.
+    action on the lowest ENSEMBLE bound states plus the zero mode, on
+    interior rows, over REFINEMENTS grid doublings, and must shrink by
+    MIN_REFINEMENT_RATIO per doubling (radial.refinement).  Each level, the
+    base included, assembles only A_mp (with the block's eta), H+ and H- as
+    CSR (at most 3 nonzeros per row), so the ladder costs O(n) per state.
     Sparse products sum in another order than dense ones, which moves the
     reported residuals by up to about 1e-5 relative where entries sit at the
     edge of the roundoff mask.  Entries at their own roundoff floor are
@@ -508,11 +511,6 @@ def verify_A_squared(
     matrices diverge like 1/step: rows near the origin carry 1/r-weighted
     coefficients with no bound-state support.
     """
-    if refinements < 1:
-        raise ValueError(
-            f"refinements must be >= 1 to measure a refinement ratio, "
-            f"got {refinements}"
-        )
     blk = block if block.A is not None else build_A(block)
     rows = []
     # A is stored as CSR with sorted indices and no explicit zeros.  Im Q2 =
@@ -553,7 +551,7 @@ def verify_A_squared(
     m = params.m
     plus_sector, minus_sector = blk.plus.sector, blk.minus.sector
     grid = blk.grid
-    for level in range(refinements + 1):
+    for level in range(REFINEMENTS + 1):
         if level:
             grid = grid.refined(2)
         n = grid.n_points
@@ -563,9 +561,9 @@ def verify_A_squared(
         hm = radial._sector_csr(params, minus_sector, grid, radial.SWAPPED)
         a_abs, hp_abs, hm_abs = abs(a_mp), abs(hp), abs(hm)
         vk = _kernel_flat_vector(params, ak, grid)
-        # Columns: the lowest `ensemble` bound states, then the zero mode.
+        # Columns: the lowest ENSEMBLE bound states, then the zero mode.
         vs = np.column_stack([
-            _bound_columns(params, plus_sector, grid, ensemble), vk])
+            _bound_columns(params, plus_sector, grid, ENSEMBLE), vk])
         va = np.abs(vs)
         av = a_mp @ vs
         r_eq6 = a_mp.T @ av - vs - factor * ((hp @ (hp @ vs)) / m**2 - vs)
@@ -582,11 +580,11 @@ def verify_A_squared(
         kern_res.append(interior_norm(
             _floor_masked(av[:, -1], a_abs @ va[:, -1]), n, 2))
 
-    def refine_row(name, res, margin_note=INTERIOR_RMS):
-        ratios = tuple(a_ / b_ for a_, b_ in zip(res[:-1], res[1:]))
+    def refine_row(name, res):
+        ratios, order = radial.refinement(ns, res)
         rows.append(VerifyRow(
-            name=name, norm_type=margin_note, residual=res[-1],
-            refinement_order=_fit_order(ns, res),
+            name=name, norm_type=INTERIOR_RMS, residual=res[-1],
+            refinement_order=order,
             passed=all(r >= MIN_REFINEMENT_RATIO for r in ratios),
             residuals=tuple(res), ratios=ratios,
         ))
@@ -682,32 +680,32 @@ def spectral_pairing_at(
     abs_kappa: float,
     grid: RadialGrid = None,
     n_points: int = 800,
-    count: int = 3,
 ) -> PairingReport:
     """Solve both sectors of the block and match levels across the SUSY map.
 
-    The expected structure is minus-level j <-> plus-level j+1 with the
-    plus-sector ground state unpaired.  A minus level lying within
-    PAIRING_TOL of two plus levels makes the matching ambiguous:
-    PairingError.  Gaps exceeding PAIRING_TOL or a Witten index != 1 are
-    reported as a failed pairing, not an exception.  Both sectors are
-    solved from their bands (radial.solve_bound_levels), in O(n) memory.
+    The expected structure is minus-level j <-> plus-level j+1, for the
+    lowest PAIRING_COUNT minus levels, with the plus ground state unpaired.
+    A minus level lying within PAIRING_TOL of two plus levels makes the
+    matching ambiguous: PairingError.  Gaps exceeding PAIRING_TOL or a
+    Witten index != 1 are reported as a failed pairing, not an exception.
+    Both sectors are solved from their bands (radial.solve_bound_levels),
+    in O(n) memory.
 
     With grid=None the block default grid is used, widened if needed so the
-    count-th level's exponential tail fits the box (see _pairing_grid).
+    top pair's exponential tail fits the box (see _pairing_grid).
     Gaps shrink like the square of the step, so a block whose pairing sits
     above PAIRING_TOL on that grid (small s makes the cusp expensive) just
     needs more points.
     """
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
     if grid is None:
-        grid = _pairing_grid(params, plus_sector, n_points, count)
+        grid = _pairing_grid(params, plus_sector, n_points, PAIRING_COUNT)
     plus_pairs = radial.solve_bound_levels(params, plus_sector, grid,
                                            layout=radial.STANDARD,
-                                           count=count + 1)
+                                           count=PAIRING_COUNT + 1)
     minus_pairs = radial.solve_bound_levels(params, minus_sector, grid,
                                             layout=radial.SWAPPED,
-                                            count=count)
+                                            count=PAIRING_COUNT)
     return _match_levels(params, abs_kappa,
                          [p.energy for p in minus_pairs],
                          [p.energy for p in plus_pairs])
@@ -727,7 +725,7 @@ class KernelReport:
     ground_exact: float
     rq_rel_error: float
 
-    def passed(self, min_order: float = 1.9) -> bool:
+    def passed(self, min_order: float = MIN_KERNEL_ORDER) -> bool:
         """min_order is set by --min-order; the other gates are constants."""
         return (self.fitted_order >= min_order
                 and all(r >= MIN_REFINEMENT_RATIO for r in self.ratios)
@@ -747,11 +745,7 @@ def kernel_annihilation_report(
     refinement ladder.  eta = None uses the derived sign ETA = +1; a forced
     -1 is the negative control.
     """
-    if len(n_points) < 2 or any(b <= a for a, b in zip(n_points,
-                                                      n_points[1:])):
-        raise ValueError(
-            f"grid family must have increasing n_points, got {list(n_points)}"
-        )
+    radial.check_family(n_points)
     _, plus_sector = sector_pair(params, abs_kappa)
     grids = [default_grid(params, plus_sector, n_points=n) for n in n_points]
     if eta is None:
@@ -764,11 +758,10 @@ def kernel_annihilation_report(
     h_plus = radial._sector_csr(params, plus_sector, grids[-1])
     rq = float((v @ (h_plus @ v)) / (v @ v) / params.m)
     ground = analytic.ground_energy(params, abs_kappa)
-    ratios = tuple(a / b for a, b in zip(residuals[:-1], residuals[1:]))
+    ratios, order = radial.refinement(n_points, residuals)
     return KernelReport(
         params=params, abs_kappa=abs_kappa, n_points=tuple(n_points),
-        residuals=tuple(residuals), ratios=ratios,
-        fitted_order=_fit_order(n_points, residuals),
+        residuals=tuple(residuals), ratios=ratios, fitted_order=order,
         rayleigh_quotient=rq, ground_exact=ground,
         rq_rel_error=abs(rq - ground) / ground,
     )

@@ -84,8 +84,6 @@ def test_default_grid_scales_with_sector():
     unit = SECTOR_P.abs_kappa / (P3.z_alpha * P3.m)
     assert math.isclose(g.r_max, 60.0 * unit, rel_tol=1e-12)
     assert g.r_min < 1e-5 * unit
-    with pytest.raises(ValueError):
-        default_grid(PhysParams(D=3, z_alpha=0.0, allow_free=True), SECTOR_P)
 
 
 @pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
@@ -240,7 +238,7 @@ def test_truncation_warning_when_too_few_levels():
 
 
 def test_free_limit_has_no_bound_states():
-    p = PhysParams(D=3, z_alpha=0.0, allow_free=True)
+    p = PhysParams(D=3, z_alpha=1e-7)
     sector = kappa_of(p, 0, 1)
     grid = make_grid(0.01, 30.0, 200)
     with pytest.warns(TruncationWarning):
@@ -316,6 +314,40 @@ def test_convergence_study_needs_two_grids(family):
     grids = [default_grid(P3, SECTOR_P, n_points=n) for n in family]
     with pytest.raises(ValueError, match="increasing n_points"):
         convergence_study(P3, SECTOR_P, grids)
+
+
+# The kernel study's residuals at D = 3, Z alpha = 0.5, |kappa| = 1.
+KERNEL_NS = (200, 400, 800, 1600)
+KERNEL_RESIDUALS = (0.0009027507927959475, 0.00022693299208040177,
+                    5.6882498321466294e-05, 1.4238871603698372e-05)
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_refinement_is_the_inline_rule(as_array):
+    values = KERNEL_RESIDUALS
+    if as_array:
+        values = np.array(values)  # as convergence_study passes its errors
+    ratios, order = radial.refinement(KERNEL_NS, values)
+    assert ratios == tuple(a / b for a, b in zip(KERNEL_RESIDUALS,
+                                                  KERNEL_RESIDUALS[1:]))
+    assert all(type(r) is float for r in ratios)
+    slope = np.polyfit(np.log(KERNEL_NS), np.log(KERNEL_RESIDUALS), 1)[0]
+    assert order == -float(slope) and type(order) is float
+
+
+def test_refinement_of_a_zero_value_is_inf():
+    for values in ((1e-3, 0.0, 1e-5), (0.0, 0.0), np.array([1e-4, 0.0])):
+        ratios, order = radial.refinement((200, 400, 800)[:len(values)],
+                                          values)
+        assert ratios == (math.inf,) * (len(values) - 1)
+        assert order == math.inf
+
+
+@pytest.mark.parametrize("family", [(), (200,), (200, 200), (400, 200)])
+def test_check_family_rejects_degenerate_family(family):
+    with pytest.raises(ValueError, match="increasing n_points"):
+        radial.check_family(family)
+    radial.check_family((200, 400))
 
 
 def test_alternation_fraction_units():

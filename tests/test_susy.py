@@ -278,10 +278,12 @@ def test_floor_mask_keeps_truncation_and_defect_signal():
     assert masked.tolist() == [1e-8, 0.0, 1e4, 1e-300]
 
 
-def test_verify_row_serialization():
+def test_verify_row_serialization(monkeypatch):
     block = build_A(build_susy_block(P3, 1.0, n_points=60),
                     check_alternate=False)
-    verification = verify_A_squared(block, refinements=1, ensemble=2)
+    monkeypatch.setattr(susy, "REFINEMENTS", 1)
+    monkeypatch.setattr(susy, "ENSEMBLE", 2)
+    verification = verify_A_squared(block)
     doc = verification.rows[0].to_dict()
     assert set(doc) == {"name", "norm_type", "residual", "refinement_order",
                         "pass"}
@@ -517,7 +519,8 @@ def _dense_verify(block, refinements=2, ensemble=4):
     for name, res in (("a_squared_identity", eq6_res),
                       ("commutator_h_a", comm_res),
                       ("kernel_annihilation", kern_res)):
-        rows[name] = (tuple(res), susy._fit_order(ns, res))
+        order = -float(np.polyfit(np.log(ns), np.log(res), 1)[0])
+        rows[name] = (tuple(res), order)
     return rows
 
 
@@ -654,7 +657,10 @@ STRUCTURAL_ROWS = ("a_symmetric", "anticommutator_k_a", "q_plus_squared",
 
 
 def _structural_residuals(block):
-    rows = verify_A_squared(block, refinements=1, ensemble=1).rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(susy, "REFINEMENTS", 1)
+        patch.setattr(susy, "ENSEMBLE", 1)
+        rows = verify_A_squared(block).rows
     return {r.name: r.residual for r in rows if r.name in STRUCTURAL_ROWS}
 
 
@@ -690,12 +696,6 @@ def test_structural_rows_see_a_planted_defect(small_blocks, where, broken):
     residuals = _structural_residuals(_planted(block, *entry, 0.25))
     assert {name for name, res in residuals.items() if res != 0.0} == broken
     assert all(residuals[name] > 1e-3 for name in broken)
-
-
-@pytest.mark.parametrize("refinements", [0, -1])
-def test_verify_needs_a_refinement(small_blocks, refinements):
-    with pytest.raises(ValueError, match="refinements"):
-        verify_A_squared(small_blocks[(3, 1.0)], refinements=refinements)
 
 
 @pytest.mark.parametrize("family", [(200,), (200, 200), (400, 200), ()])
