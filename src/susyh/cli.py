@@ -248,7 +248,8 @@ def cmd_kernel(ns: argparse.Namespace) -> int:
     family = ns.grid_points or KERNEL_FAMILY
     report = susy.kernel_annihilation_report(params, ns.abs_kappa,
                                              n_points=family)
-    passed = report.passed(min_order=ns.min_order)
+    failed = report.failed_gate(min_order=ns.min_order)
+    passed = not failed
     columns = ("n_points", "residual", "ratio", "fitted_order",
                "rayleigh_quotient", "rq_rel_error", "pass")
     rows = []
@@ -269,7 +270,10 @@ def cmd_kernel(ns: argparse.Namespace) -> int:
         "pass": passed,
     }
     _write(ns, _render(ns, columns, rows, json_obj))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    if failed:
+        print(f"FAILED: {failed}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_levels(ns: argparse.Namespace) -> int:

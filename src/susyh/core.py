@@ -154,25 +154,22 @@ def default_grid(
     sector: KappaSector,
     n_points: int = 800,
     r_max_factor: float = 60.0,
-    wall_factor: float | None = None,
 ) -> RadialGrid:
     """Sector-adapted grid on [wall * u, r_max_factor * u], u = |kappa|/(Z alpha m).
 
     The wall factor 10^(-max(6, 3/s)) keeps the truncated r^(2s) weight below
     ~1e-6 even for small s, while keeping the log-grid span (and hence the
     step) as small as accuracy allows.  Raises GridError when the wall
-    falls below the smallest normal double, which the default reaches as
-    s -> 0 (near-critical z_alpha).
+    falls below the smallest normal double, which it reaches as s -> 0
+    (near-critical z_alpha).
     """
     unit = sector.abs_kappa / (params.z_alpha * params.m)
-    if wall_factor is None:
-        wall_factor = 10.0 ** (-max(6.0, 3.0 / sector.s))
-    r_min = wall_factor * unit
+    wall = 10.0 ** (-max(6.0, 3.0 / sector.s))
+    r_min = wall * unit
     if not r_min >= np.finfo(np.float64).tiny:
         raise GridError(
-            f"inner wall r_min = wall_factor * u = {wall_factor!r} * {unit!r} "
-            f"is below the smallest normal double: the wall underflowed at "
-            f"s = {sector.s:.6g}; pass a larger wall_factor or use a smaller "
-            f"z_alpha"
+            f"inner wall r_min = wall * u = {wall!r} * {unit!r} is below the "
+            f"smallest normal double: the wall 10^(-3/s) underflowed at "
+            f"s = {sector.s:.6g}; use a smaller z_alpha (--zalpha)"
         )
     return make_grid(r_min, r_max_factor * unit, n_points)

@@ -204,8 +204,7 @@ def _check_offdiagonal(e: np.ndarray, grid: RadialGrid) -> None:
         raise GridError(
             f"tridiagonal off-diagonal max |e| = {e_max:.3g} near the inner "
             f"wall r_min = {grid.r_min:.3g} squares past the largest double, "
-            f"which bisection cannot handle; pass a larger wall_factor or use "
-            f"a smaller z_alpha"
+            f"which bisection cannot handle; use a smaller z_alpha (--zalpha)"
         )
 
 
@@ -308,26 +307,14 @@ class Bands:
         return Bands._of(self.n,
                          {-k: _shift(v, -k) for k, v in self.bands.items()})
 
-    def __matmul__(self, other):
-        """Band product with another Bands, or matvec with an array of n
-        rows (a vector or a stack of columns)."""
-        if isinstance(other, Bands):
-            out = {}
-            for a in sorted(self.bands):
-                x = self.bands[a]
-                for b in sorted(other.bands):
-                    term = x * _shift(other.bands[b], a)
-                    out[a + b] = out[a + b] + term if a + b in out else term
-            return Bands._of(self.n, out)
-        x = np.asarray(other, dtype=np.float64)
-        y = np.zeros(x.shape)
-        for k in sorted(self.bands):
-            v = self.bands[k]
-            y += (v if x.ndim == 1 else v[:, None]) * _shift(x, k)
-        return y
-
-    def tocsr(self) -> sp.csr_matrix:
-        return _block_csr([[self]])
+    def __matmul__(self, other: Bands) -> Bands:
+        out = {}
+        for a in sorted(self.bands):
+            x = self.bands[a]
+            for b in sorted(other.bands):
+                term = x * _shift(other.bands[b], a)
+                out[a + b] = out[a + b] + term if a + b in out else term
+        return Bands._of(self.n, out)
 
 
 def _block_csr(blocks) -> sp.csr_matrix:
@@ -427,7 +414,7 @@ def _check_vectors(vecs: np.ndarray, e: np.ndarray) -> None:
         raise GridError(
             f"the tridiagonal eigensolver returned non-finite eigenvectors "
             f"(off-diagonal max |e| = {np.abs(e).max():.3g} near the inner "
-            f"wall); pass a larger wall_factor or use a smaller z_alpha"
+            f"wall); use a smaller z_alpha (--zalpha)"
         )
 
 

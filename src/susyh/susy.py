@@ -15,12 +15,13 @@ Discretely, A is assembled so the algebraic identities hold exactly: the
 block form [[0, A_mp], [A_mp^T, 0]] is symmetric by construction, K is
 exactly diagonal, and each charge product has a partner made of the same
 floating-point products with opposite signs, giving bitwise-zero residuals
-when both are summed in the same order.  verify_A_squared forms them as CSR
-products (A has at most 3 nonzeros per row): Im Q2 = A p and Q+- =
-(1 +- p) A / 2, with p = K / |kappa| = +-1, scale A's data only, so all four
-share A's index structure and every product sums over k in A's index order.
-Products with a scipy.sparse diagonal would reorder the indices of their
-result, and {Q1, Q2} and H_susy - A^2 would then come out nonzero.
+when both are summed in the same order.  The charges are formed once, in
+_charges, as CSR matrices (A has at most 3 nonzeros per row): Im Q2 = A p
+and Q+- = (1 +- p) A / 2, with p = K / |kappa| = +-1, scale A's data only,
+so all four share A's index structure and every product sums over k in A's
+index order.  Products with a scipy.sparse diagonal would reorder the
+indices of their result, and {Q1, Q2} and H_susy - A^2 would then come out
+nonzero.
 The two analytic identities that are not structural, A^2 = 1 + ... and
 [H, A] = 0, hold at second order in the grid step and are verified by
 refinement (ratios and fitted order from radial.refinement, with each
@@ -34,9 +35,7 @@ sorted-index matvecs and products.  The band product loops over offset
 pairs in one fixed order, so sign-symmetric sums built from it would cancel
 exactly too.  SusyBlock stores A as one (4n, 4n) CSR matrix and K as its
 diagonal vector, so verify allocates no (4n)^2 array; the dense fields
-H_block, K_block and A_block are built from those only when read, and
-build_supercharges, which returns dense charges, is the one library caller
-of a dense A.
+H_block, K_block and A_block are built from those only when read.
 
 Two independent A assemblies are kept: the primary one from the defining
 Johnson-Lippmann form A = eta * interp + (|kappa| / (Z alpha m)) J (H - m
@@ -112,7 +111,6 @@ class SusyBlock:
 
     params: PhysParams
     abs_kappa: float
-    l: int
     grid: RadialGrid
     minus: radial.RadialOperator
     plus: radial.RadialOperator
@@ -183,8 +181,8 @@ def build_susy_block(
                                             layout=radial.SWAPPED)
     k = np.repeat(np.array([-abs_kappa, abs_kappa], dtype=np.float64),
                   2 * grid.n_points)
-    return SusyBlock(params=params, abs_kappa=abs_kappa, l=plus_sector.l,
-                     grid=grid, minus=minus, plus=plus, K=k)
+    return SusyBlock(params=params, abs_kappa=abs_kappa, grid=grid,
+                     minus=minus, plus=plus, K=k)
 
 
 def interior_norm(vec: np.ndarray, n: int, margin: int) -> float:
@@ -338,10 +336,10 @@ def _kernel_flat_vector(params: PhysParams, abs_kappa: float,
 
 
 def _alternate_gap(params: PhysParams, abs_kappa: float, grid: RadialGrid,
-                   eta: int) -> float:
-    """Zero-mode action gap between the primary and alternate assemblies."""
+                   eta: int, a_mp: sp.csr_matrix) -> float:
+    """Zero-mode action gap between a_mp, the primary assembly on grid, and
+    the alternate one."""
     alt = alternate_a_mp(params, abs_kappa, grid, eta)
-    a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
     v = _kernel_flat_vector(params, abs_kappa, grid)
     return interior_norm(a_mp @ v - alt @ v, grid.n_points, 3)
 
@@ -366,14 +364,16 @@ def build_A(block: SusyBlock, eta: int | None = None,
         eta = ETA
     elif eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    a_mp = _assemble_a_mp(block.params, block.abs_kappa, block.grid, eta)
+    params, ak = block.params, block.abs_kappa
+    a_mp = _assemble_a_mp(params, ak, block.grid, eta)
     if check_alternate:
         # Agreement "to discretization tolerance" means the gap between the
         # two assemblies vanishes under refinement; its absolute size at one
         # grid is dominated by wall-amplified cusp error when s is small.
-        gap = _alternate_gap(block.params, block.abs_kappa, block.grid, eta)
-        gap_fine = _alternate_gap(block.params, block.abs_kappa,
-                                  block.grid.refined(2), eta)
+        fine = block.grid.refined(2)
+        gap = _alternate_gap(params, ak, block.grid, eta, a_mp)
+        gap_fine = _alternate_gap(params, ak, fine, eta,
+                                  _assemble_a_mp(params, ak, fine, eta))
         if not gap_fine < gap / MIN_ALTERNATE_GAP_RATIO:
             raise ConventionError(
                 f"primary and alternate A assemblies do not converge to each "
@@ -391,45 +391,47 @@ class SusyCharges:
 
     Q1 is real symmetric, Q2 = i A K / |kappa| is purely imaginary and
     Hermitian, Q+- = (1 +- K/|kappa|) A / 2 are real, and H_susy =
-    {Q+, Q-}.  Assembled so that Q+-^2, {Q1, Q2} and H_susy - A^2 are
-    identically zero matrices, not merely small.
+    {Q+, Q-}.  All are read-only CSR, assembled so that Q+-^2, {Q1, Q2}
+    and H_susy - A^2 are identically zero matrices, not merely small.
     """
 
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q_plus: np.ndarray
-    Q_minus: np.ndarray
-    H_susy: np.ndarray
+    Q1: sp.csr_matrix
+    Q2: sp.csr_matrix
+    Q_plus: sp.csr_matrix
+    Q_minus: sp.csr_matrix
+    H_susy: sp.csr_matrix
 
     def __post_init__(self):
         for mat in (self.Q1, self.Q2, self.Q_plus, self.Q_minus, self.H_susy):
-            mat.flags.writeable = False
+            radial._read_only(mat)
+
+
+def _charges(block: SusyBlock) -> tuple:
+    """(Im Q2, Q+, Q-) = (A p, (1 + p) A / 2, (1 - p) A / 2), p = K /
+    |kappa| = +-1, as CSR sharing A's indices and indptr (see the module
+    docstring for why the exact zeros need that)."""
+    a = block.A
+    p = block.K / block.abs_kappa
+    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+    def shared(data):
+        return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+
+    return (shared(a.data * p[a.indices]),
+            shared((0.5 * (1.0 + p))[row_of] * a.data),
+            shared((0.5 * (1.0 - p))[row_of] * a.data))
 
 
 def build_supercharges(block: SusyBlock) -> SusyCharges:
-    """Assemble Q1, Q2, Q+- and H_susy from the block's A and K.
-
-    The grading p = K / |kappa| is formed first (exactly +-1 on the
-    diagonal), so every scalar multiplication is exact and the nilpotency
-    identities reduce to sums of sign-symmetric floating-point products.
-    The diagonal factors are applied as row and column scalings: a product
-    with a diagonal matrix has one nonzero term per entry, so A p and
-    (1 +- p) A / 2 are the same floats the dense products give, without a
-    (4n)^3 gemm.  Only H_susy = {Q+, Q-} is a genuine dense product.
-    The charges are dense (4n)^2 arrays, formed from the block's CSR A.
-    verify_A_squared does not call this: it forms the same products on CSR
-    matrices that share A's index structure.
-    """
+    """Q1 = A, Q2, Q+- and H_susy = Q+ Q- + Q- Q+ from _charges, as CSR:
+    no (4n)^2 array is built.  H_susy - A @ A is an exact CSR zero; H_susy
+    is not bitwise a dense gemm, which sums in another order."""
     if block.A is None:
         raise ValueError("A not assembled; call build_A first")
-    a = block.A.toarray()
-    p = block.K / block.abs_kappa  # exactly +-1
-    q2 = 1j * (a * p)
-    q_plus = (0.5 * (1.0 + p))[:, None] * a
-    q_minus = (0.5 * (1.0 - p))[:, None] * a
-    h_susy = q_plus @ q_minus + q_minus @ q_plus
-    return SusyCharges(Q1=a, Q2=q2, Q_plus=q_plus, Q_minus=q_minus,
-                       H_susy=h_susy)
+    q2_im, q_plus, q_minus = _charges(block)
+    return SusyCharges(Q1=block.A, Q2=1j * q2_im, Q_plus=q_plus,
+                       Q_minus=q_minus,
+                       H_susy=q_plus @ q_minus + q_minus @ q_plus)
 
 
 @dataclass(frozen=True)
@@ -488,19 +490,16 @@ def verify_A_squared(block: SusyBlock) -> SusyVerification:
 
     Structural identities (A symmetric, {A, K} = 0, Q+-^2 = 0, {Q1, Q2} = 0,
     H_susy = A^2) are checked for exact zero max element at the block's own
-    grid size.  They read the block's stored CSR A (sorted indices, no
-    explicit zeros) and K vector directly; Im Q2 = A p and Q+- = (1 +- p) A
-    / 2 (p = K / |kappa|) scale A's data only and share its index
-    structure, so each product sums over k in A's index order and the
-    sign-symmetric sums cancel exactly.  The pass is O(n) sparse work and
-    allocates no (4n)^2 array.
+    grid size, from the block's CSR A and K vector and the charges of
+    _charges: O(n) sparse work, and no (4n)^2 array.
     The two analytic identities, A^2 = 1 + (K/Z alpha)^2 (H^2/m^2 - 1) and
     [H, A] = 0, are genuine discretizations: their residuals are measured by
     action on the lowest ENSEMBLE bound states plus the zero mode, on
     interior rows, over REFINEMENTS grid doublings, and must shrink by
-    MIN_REFINEMENT_RATIO per doubling (radial.refinement).  Each level, the
-    base included, assembles only A_mp (with the block's eta), H+ and H- as
-    CSR (at most 3 nonzeros per row), so the ladder costs O(n) per state.
+    MIN_REFINEMENT_RATIO per doubling (radial.refinement).  The base level
+    acts with the block's own A_mp, H+ and H-; each refined level assembles
+    them as CSR (A_mp with the block's eta), at most 3 nonzeros per row, so
+    the ladder costs O(n) per state.
     Sparse products sum in another order than dense ones, which moves the
     reported residuals by up to about 1e-5 relative where entries sit at the
     edge of the roundoff mask.  Entries at their own roundoff floor are
@@ -513,21 +512,10 @@ def verify_A_squared(block: SusyBlock) -> SusyVerification:
     """
     blk = block if block.A is not None else build_A(block)
     rows = []
-    # A is stored as CSR with sorted indices and no explicit zeros.  Im Q2 =
-    # A p and Q+- = (1 +- p) A / 2 scale A's data only, so all four share
-    # A's indptr/indices: every product then sums over k in A's index order,
-    # the same order for both halves of each sign-symmetric pair.
     a = blk.A
     k = blk.K
-    p = k / blk.abs_kappa  # exactly +-1
     row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-
-    def shared(data):
-        return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-
-    q2 = shared(a.data * p[a.indices])
-    q_plus = shared((0.5 * (1.0 + p))[row_of] * a.data)
-    q_minus = shared((0.5 * (1.0 - p))[row_of] * a.data)
+    q2, q_plus, q_minus = _charges(blk)
 
     def exact_row(name, entries):
         res = float(np.max(np.abs(entries), initial=0.0))
@@ -551,14 +539,16 @@ def verify_A_squared(block: SusyBlock) -> SusyVerification:
     m = params.m
     plus_sector, minus_sector = blk.plus.sector, blk.minus.sector
     grid = blk.grid
+    n2 = 2 * blk.n
+    a_mp, hp, hm = a[:n2, n2:], blk.plus.csr, blk.minus.csr
     for level in range(REFINEMENTS + 1):
         if level:
             grid = grid.refined(2)
+            a_mp = _assemble_a_mp(params, ak, grid, blk.eta)
+            hp = radial._sector_csr(params, plus_sector, grid, radial.STANDARD)
+            hm = radial._sector_csr(params, minus_sector, grid, radial.SWAPPED)
         n = grid.n_points
         ns.append(n)
-        a_mp = _assemble_a_mp(params, ak, grid, blk.eta)
-        hp = radial._sector_csr(params, plus_sector, grid, radial.STANDARD)
-        hm = radial._sector_csr(params, minus_sector, grid, radial.SWAPPED)
         a_abs, hp_abs, hm_abs = abs(a_mp), abs(hp), abs(hm)
         vk = _kernel_flat_vector(params, ak, grid)
         # Columns: the lowest ENSEMBLE bound states, then the zero mode.
@@ -725,11 +715,21 @@ class KernelReport:
     ground_exact: float
     rq_rel_error: float
 
+    def failed_gate(self, min_order: float = MIN_KERNEL_ORDER) -> str:
+        """The first gate the study fails, with its numbers, or "" if it
+        passes.  min_order is set by --min-order; the other gates are
+        constants."""
+        if not self.fitted_order >= min_order:
+            return f"fitted order {self.fitted_order:.3f} < {min_order}"
+        for ratio in self.ratios:
+            if not ratio >= MIN_REFINEMENT_RATIO:
+                return f"refinement ratio {ratio:.3f} < {MIN_REFINEMENT_RATIO}"
+        if not self.rq_rel_error <= RQ_TOL:
+            return f"rq_rel_error {self.rq_rel_error:.3e} > {RQ_TOL:g}"
+        return ""
+
     def passed(self, min_order: float = MIN_KERNEL_ORDER) -> bool:
-        """min_order is set by --min-order; the other gates are constants."""
-        return (self.fitted_order >= min_order
-                and all(r >= MIN_REFINEMENT_RATIO for r in self.ratios)
-                and self.rq_rel_error <= RQ_TOL)
+        return not self.failed_gate(min_order)
 
 
 def kernel_annihilation_report(

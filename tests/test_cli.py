@@ -192,6 +192,7 @@ def test_kernel_unreachable_order_fails(capsys):
                                 "--format", "json"])
     assert rc == 1
     assert json.loads(out)["pass"] is False
+    assert err == "FAILED: fitted order 1.996 < 3.0\n"
 
 
 def test_levels_dataset(capsys):
@@ -344,9 +345,10 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["spectrum", "--D", "2", "--zalpha", "0.49999"], "underflowed"),
     (["kernel", "--D", "3", "--grid-points", "200,200"],
      "increasing n_points"),
-    (["spectrum", "--D", "2", "--zalpha", "0.4999"], "wall_factor"),
+    (["spectrum", "--D", "2", "--zalpha", "0.4999"],
+     "use a smaller z_alpha (--zalpha)"),
     (["spectrum", "--D", "2", "--zalpha", "0.4996", "--format", "csv"],
-     "wall_factor"),
+     "use a smaller z_alpha (--zalpha)"),
     (["spectrum", "--D", "3", "--r-max", "0"], "--r-max must be positive"),
     (["spectrum", "--D", "3", "--r-max", "-5"], "--r-max must be positive"),
     (["spectrum", "--D", "3", "--r-max", "inf"], "--r-max must be positive"),
@@ -377,8 +379,10 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["verify", "--clifford-only", "--D", "3", "--zalpha", "5"],
      "verify --clifford-only does not take --zalpha"),
     # The block's sector assembly runs the bisection overflow guard.
-    (["verify", "--D", "2", "--zalpha", "0.4998"], "wall_factor"),
-    (["verify", "--D", "2", "--zalpha", "0.4999"], "wall_factor"),
+    (["verify", "--D", "2", "--zalpha", "0.4998"],
+     "use a smaller z_alpha (--zalpha)"),
+    (["verify", "--D", "2", "--zalpha", "0.4999"],
+     "use a smaller z_alpha (--zalpha)"),
     # Out-of-range numbers are named instead of overflowing.
     (["verify", "--D", "3", "--abs-kappa", "inf"], "abs_kappa must be finite"),
     (["verify", "--D", "3", "--abs-kappa", "1e300"],
@@ -408,16 +412,19 @@ def test_usage_errors(capsys, argv, needle):
      "FAILED: D3:k1:spectral_pairing_max_gap"),
     (["verify", "--D", "2", "--zalpha", "0.49"],
      "FAILED: D2:k0.5:kernel_annihilation"),
-    (["kernel", "--D", "3", "--zalpha", "0.99"], ""),
-    (["kernel", "--D", "2", "--zalpha", "0.49"], ""),
+    (["kernel", "--D", "3", "--zalpha", "0.99"],
+     "FAILED: rq_rel_error 4.865e-04 > 1e-05"),
+    (["kernel", "--D", "2", "--zalpha", "0.49"],
+     "FAILED: fitted order 1.860 < 1.9"),
 ])
 def test_small_s_blocks_get_a_verdict(capsys, argv, failed):
     # s = 0.141 and 0.0995: the wall cusp dominates every residual at these
-    # grids, and the checks say so (exit 1) instead of the run crashing.
+    # grids, and the checks say so (exit 1), naming the gate, instead of the
+    # run crashing.
     rc, out, err = run(capsys, argv + ["--format", "json"])
     assert rc == 1
     assert json.loads(out)["pass"] is False
-    assert err == (failed + "\n" if failed else "")
+    assert err == failed + "\n"
 
 
 def test_cached_parser_matches_fresh_parser(capsys):

@@ -23,6 +23,18 @@ P3 = PhysParams(D=3, z_alpha=0.5)
 SECTOR_P = kappa_of(P3, 0, 1)
 SECTOR_M = kappa_of(P3, 0, -1)
 
+# The advice every near-critical GridError ends with: the wall is not a
+# user setting, the coupling is.
+ZALPHA_HINT = r"use a smaller z_alpha \(--zalpha\)"
+
+
+def _walled_grid(p, sector, wall, n_points=800):
+    """default_grid's box with the inner wall at wall * u instead of
+    10^(-3/s) * u."""
+    unit = sector.abs_kappa / (p.z_alpha * p.m)
+    return make_grid(wall * unit, 60.0 * unit, n_points)
+
+
 GROUND = math.sqrt(3) / 2
 FIRST_EXCITED = 0.9659258262890683
 
@@ -75,7 +87,7 @@ def test_params_reject_non_finite(field, value):
 def test_default_grid_wall_underflow_is_typed():
     # s = 0.0032, so the default wall 10^(-3/s) underflows to 0.0.
     p = PhysParams(D=2, z_alpha=0.49999)
-    with pytest.raises(GridError, match="underflowed.*wall_factor.*z_alpha"):
+    with pytest.raises(GridError, match="underflowed.*" + ZALPHA_HINT):
         default_grid(p, kappa_of(p, 0, 1))
 
 
@@ -582,7 +594,7 @@ def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
     p = PhysParams(D=2, z_alpha=z_alpha)
     for sign, n in itertools.product((1, -1), (150, 800)):
         sector = kappa_of(p, 0, sign)
-        grid = default_grid(p, sector, n_points=n, wall_factor=wall)
+        grid = _walled_grid(p, sector, wall, n)
         _assert_window_levels_bitwise(
             monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m)
 
@@ -605,7 +617,7 @@ def _random_bands(rng, n, offsets):
 
 
 def _dense(bands):
-    return bands.tocsr().toarray()
+    return radial._block_csr([[bands]]).toarray()
 
 
 # Offsets past the edge (|k| >= n) hold no entries at all; the rest lose
@@ -632,10 +644,6 @@ def test_bands_match_dense(offsets, n):
     assert np.array_equal(_dense(2.5 * x), 2.5 * dx)
     s = rng.standard_normal(n)
     assert np.array_equal(_dense(x.scale_rows(s)), s[:, None] * dx)
-    v = rng.standard_normal(n)
-    assert np.allclose(x @ v, dx @ v, rtol=1e-14, atol=1e-14)
-    cols = rng.standard_normal((n, 3))
-    assert np.allclose(x @ cols, dx @ cols, rtol=1e-14, atol=1e-14)
 
 
 def test_bands_product_of_diagonals_is_exact():
@@ -683,7 +691,7 @@ def test_offdiagonal_overflow_boundary_is_typed():
     grid = default_grid(P3, SECTOR_P, n_points=20)
     edge = math.sqrt(np.finfo(np.float64).max)
     radial._check_offdiagonal(np.array([1.0, -edge]), grid)
-    with pytest.raises(GridError, match="wall_factor.*z_alpha"):
+    with pytest.raises(GridError, match="cannot handle; " + ZALPHA_HINT):
         radial._check_offdiagonal(np.array([1.0, -np.nextafter(edge, np.inf)]),
                                   grid)
 
@@ -695,16 +703,16 @@ def test_near_critical_wall_overflow_is_typed():
     # test); one at 1e-154 (1.4e154) is past the boundary.
     p = PhysParams(D=2, z_alpha=0.4999)
     sector = kappa_of(p, 0, 1)
-    with pytest.raises(GridError, match="wall_factor.*z_alpha"):
+    with pytest.raises(GridError, match="cannot handle; " + ZALPHA_HINT):
         solve_bound_levels(p, sector, default_grid(p, sector))
-    grid = default_grid(p, sector, n_points=800, wall_factor=1e-152)
+    grid = _walled_grid(p, sector, 1e-152)
     bands = radial._sector_bands(p, sector, grid, STANDARD)
     assert np.abs(bands[1]).max() < 1e153
     assert radial._window_levels(*bands, p.m, 0)[0] > 0
-    with pytest.raises(GridError, match="non-finite.*wall_factor"):
+    with pytest.raises(GridError, match="non-finite.*" + ZALPHA_HINT):
         solve_bound_levels(p, sector, grid, count=1)
-    grid = default_grid(p, sector, n_points=800, wall_factor=1e-154)
-    with pytest.raises(GridError, match="wall_factor"):
+    grid = _walled_grid(p, sector, 1e-154)
+    with pytest.raises(GridError, match=ZALPHA_HINT):
         radial._sector_bands(p, sector, grid, STANDARD)
 
 
@@ -715,11 +723,12 @@ def test_hamiltonian_assembly_runs_the_overflow_guard(layout):
     p = PhysParams(D=2, z_alpha=0.4999)
     sector = kappa_of(p, 0, 1 if layout == STANDARD else -1)
     for wall in (1e-152, 1e-154, None):
-        grid = default_grid(p, sector, wall_factor=wall)
+        grid = (default_grid(p, sector) if wall is None
+                else _walled_grid(p, sector, wall))
         try:
             radial._sector_bands(p, sector, grid, layout)
         except GridError:
-            with pytest.raises(GridError, match="wall_factor"):
+            with pytest.raises(GridError, match=ZALPHA_HINT):
                 build_radial_hamiltonian(p, sector, grid, layout=layout)
             assert wall != 1e-152
         else:
@@ -735,11 +744,11 @@ def test_non_finite_eigenvectors_are_typed():
     p = PhysParams(D=2, z_alpha=0.4996)
     sector = kappa_of(p, 0, 1)
     grid = default_grid(p, sector)
-    with pytest.raises(GridError, match="non-finite.*wall_factor.*z_alpha"):
+    with pytest.raises(GridError, match="non-finite.*" + ZALPHA_HINT):
         solve_bound_levels(p, sector, grid, count=3)
     with pytest.raises(GridError, match="non-finite"):
         susy._bound_columns(p, sector, grid, 4)
-    grid = default_grid(p, sector, wall_factor=1e-100)
+    grid = _walled_grid(p, sector, 1e-100)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         pairs = solve_bound_levels(p, sector, grid, count=3)

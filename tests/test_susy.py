@@ -42,35 +42,60 @@ def small_blocks():
             for D, ak in BLOCK_CASES}
 
 
+def _dense_of(charges):
+    return tuple(m.toarray() for m in (charges.Q1, charges.Q2, charges.Q_plus,
+                                       charges.Q_minus, charges.H_susy))
+
+
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_structural_identities_are_exact_zeros(small_blocks, case):
     block = small_blocks[case]
-    charges = build_supercharges(block)
+    q1, q2, q_plus, q_minus, _ = _dense_of(build_supercharges(block))
     a, k = block.A_block, block.K_block
     zeros = {
         "a_symmetric": a - a.T,
         "anticommutator_k_a": a @ k + k @ a,
-        "q_plus_squared": charges.Q_plus @ charges.Q_plus,
-        "q_minus_squared": charges.Q_minus @ charges.Q_minus,
-        "anticommutator_q1_q2": charges.Q1 @ charges.Q2 + charges.Q2 @ charges.Q1,
-        "h_susy_equals_a_squared": charges.H_susy - a @ a,
+        "q_plus_squared": q_plus @ q_plus,
+        "q_minus_squared": q_minus @ q_minus,
+        "anticommutator_q1_q2": q1 @ q2 + q2 @ q1,
+        "h_susy_equals_a_squared": q_plus @ q_minus + q_minus @ q_plus - a @ a,
     }
     for name, mat in zeros.items():
         assert np.max(np.abs(mat)) == 0.0, name
     assert block.eta == 1
 
 
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_supercharges_are_read_only_csr_on_A_structure(small_blocks, case):
+    # One builder: the charges are CSR sharing A's indices, and their
+    # H_susy is A^2 as an exact CSR zero (no entry left, not even a 0.0).
+    block = small_blocks[case]
+    charges = build_supercharges(block)
+    assert charges.Q1 is block.A
+    mats = (charges.Q1, charges.Q2, charges.Q_plus, charges.Q_minus,
+            charges.H_susy)
+    for mat in mats:
+        assert mat.format == "csr" and mat.shape == block.A.shape
+        assert not any(arr.flags.writeable
+                       for arr in (mat.data, mat.indices, mat.indptr))
+    for mat in (charges.Q_plus, charges.Q_minus):
+        assert np.shares_memory(mat.indices, block.A.indices)
+        assert np.shares_memory(mat.indptr, block.A.indptr)
+    assert np.array_equal(charges.Q2.indices, block.A.indices)
+    assert (charges.H_susy - block.A @ block.A).nnz == 0
+
+
 def test_charge_combinations_are_bitwise_consistent(small_blocks):
     # Q+- = (Q1 +- i Q2)/2 must equal the projector form (1 +- K/|k|)A/2
     # exactly: P A = -A P is an exact sign flip, so both reductions run
     # through identical float operations.
-    charges = build_supercharges(small_blocks[(3, 1.0)])
-    plus = 0.5 * (charges.Q1 + 1j * charges.Q2)
-    minus = 0.5 * (charges.Q1 - 1j * charges.Q2)
+    q1, q2, q_plus, q_minus, _ = _dense_of(
+        build_supercharges(small_blocks[(3, 1.0)]))
+    plus = 0.5 * (q1 + 1j * q2)
+    minus = 0.5 * (q1 - 1j * q2)
     assert np.array_equal(plus.imag, np.zeros_like(plus.imag))
-    assert np.array_equal(charges.Q_plus, plus.real)
-    assert np.array_equal(charges.Q_minus, minus.real)
-    q2 = charges.Q2
+    assert np.array_equal(q_plus, plus.real)
+    assert np.array_equal(q_minus, minus.real)
     assert np.array_equal(q2.real, np.zeros_like(q2.real))
     assert np.array_equal(q2.conj().T, q2)
 
@@ -118,10 +143,15 @@ def test_stored_A_is_the_csr_of_the_dense_block(small_blocks):
         for got, want in ((a.data, ref.data), (a.indices, ref.indices),
                           (a.indptr, ref.indptr)):
             assert np.array_equal(got, want)
+        # verify's base level reads A_mp from the stored A instead of
+        # assembling it again: the slice is the assembly's CSR exactly.
         a_mp = susy._assemble_a_mp(block.params, block.abs_kappa,
                                    block.grid, block.eta)
         n2 = 2 * block.n
-        assert np.array_equal(block.A_block[:n2, n2:], a_mp.toarray())
+        got = a[:n2, n2:]
+        for x, y in ((got.data, a_mp.data), (got.indices, a_mp.indices),
+                     (got.indptr, a_mp.indptr)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_replace_rebuilds_dense_views():
@@ -220,7 +250,8 @@ def test_alternate_assembly_converges_to_primary():
     gaps = []
     for n in (100, 200, 400):
         grid = default_grid(P3, sector_pair(P3, 1.0)[1], n_points=n)
-        gaps.append(susy._alternate_gap(P3, 1.0, grid, 1))
+        gaps.append(susy._alternate_gap(
+            P3, 1.0, grid, 1, susy._assemble_a_mp(P3, 1.0, grid, 1)))
     assert all(a / b > 3.0 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -371,9 +402,12 @@ def test_kernel_annihilation_report(monkeypatch):
     assert report.ground_exact == math.sqrt(3) / 2
     assert abs(report.rayleigh_quotient - report.ground_exact) < 1e-5
     assert report.rq_rel_error < 1e-5
-    # Tighter thresholds must be able to fail it.
+    assert report.failed_gate() == ""
+    # Tighter thresholds must be able to fail it, and the gate is named.
     monkeypatch.setattr(susy, "RQ_TOL", 1e-9)
     assert not report.passed()
+    assert report.failed_gate().startswith("rq_rel_error ")
+    assert report.failed_gate(min_order=3.0).startswith("fitted order ")
 
 
 def test_one_refinement_gate_for_verify_and_kernel(small_blocks,
@@ -393,6 +427,7 @@ def test_one_refinement_gate_for_verify_and_kernel(small_blocks,
     rows = {r.name: r for r in verify_A_squared(block).rows}
     assert [name for name, r in rows.items() if not r.passed] == list(refine)
     assert not report.passed()
+    assert report.failed_gate().startswith("refinement ratio ")
 
 
 def test_supercharges_require_assembled_A():
@@ -574,14 +609,16 @@ def test_sparse_a_mp_equals_dense_formula(case):
 @pytest.mark.parametrize("case", [(2, 0.5), (3, 1.0), (4, 2.5)])
 def test_supercharges_equal_gemm_with_diagonal(small_blocks, case):
     # Row and column scalings give the floats of the dense products with
-    # the diagonal grading.
+    # the diagonal grading.  H_susy is a CSR product, which sums in another
+    # order than the dense gemm, so only its identity with A^2 is exact.
     block = small_blocks[case]
-    charges = build_supercharges(block)
-    got = (charges.Q1, charges.Q2, charges.Q_plus, charges.Q_minus,
-           charges.H_susy)
-    for new, old in zip(got, _dense_charges(block)):
+    got = _dense_of(build_supercharges(block))
+    want = _dense_charges(block)
+    for new, old in zip(got[:4], want[:4]):
         assert new.dtype == old.dtype
         assert np.array_equal(new, old)
+    assert np.allclose(got[4], want[4], rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(want[4])))
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
@@ -614,7 +651,9 @@ def test_sparse_kernel_study_matches_dense_reference(case):
     v = susy._kernel_flat_vector(params, ak, grid)
     old_gap = interior_norm((_dense_a_mp(plus, 1, ak) - alt.toarray()) @ v,
                             80, 3)
-    assert _rel(susy._alternate_gap(params, ak, grid, 1), old_gap) <= 1e-12
+    gap = susy._alternate_gap(params, ak, grid, 1,
+                              susy._assemble_a_mp(params, ak, grid, 1))
+    assert _rel(gap, old_gap) <= 1e-12
 
 
 def test_sparse_kernel_study_matches_dense_reference_default_family():
@@ -629,8 +668,9 @@ def test_sparse_kernel_study_matches_dense_reference_default_family():
 def test_sparse_ladder_sees_a_perturbed_assembly(monkeypatch, case):
     # Negative control: 1e-3 on one interior diagonal entry of A_mp, where
     # the zero mode peaks, must break both analytic identities.  The block
-    # is built first, so the defect lives only in the sparse ladder and the
-    # structural rows stay exact.
+    # is built first, so the defect lives only in the refined levels of the
+    # ladder (the base level reads the block's A), and the structural rows
+    # stay exact.
     D, ak = case
     params = _params(D)
     block = build_A(build_susy_block(params, ak, n_points=200))
@@ -649,6 +689,28 @@ def test_sparse_ladder_sees_a_perturbed_assembly(monkeypatch, case):
     assert not by_name["a_squared_identity"].passed
     assert not by_name["commutator_h_a"].passed
     assert by_name["a_symmetric"].passed
+
+
+def test_ladder_base_level_reads_the_blocks_A(small_blocks):
+    # A symmetric defect planted in the stored A (A_mp and its transpose
+    # alike) must reach the base level of the refinement ladder, which acts
+    # with the block's own A_mp instead of assembling it again.  The gate
+    # still passes: the refined levels assemble a clean A_mp, so a defect
+    # in the base block only raises the first ratio.
+    block = small_blocks[(3, 1.0)]
+    n2 = 2 * block.n
+    vk = susy._kernel_flat_vector(block.params, block.abs_kappa, block.grid)
+    i = int(np.argmax(np.abs(vk[:block.n])))
+    planted = _planted(_planted(block, i, n2 + i, -1e-2), n2 + i, i, -1e-2)
+    clean = {r.name: r for r in verify_A_squared(block).rows}
+    dirty = {r.name: r for r in verify_A_squared(planted).rows}
+    for name in ("a_squared_identity", "commutator_h_a",
+                 "kernel_annihilation"):
+        assert dirty[name].residuals[0] > clean[name].residuals[0]
+        assert dirty[name].residuals[1:] == clean[name].residuals[1:]
+        assert dirty[name].ratios[0] > clean[name].ratios[0]
+        assert dirty[name].passed
+    assert dirty["a_symmetric"].passed
 
 
 STRUCTURAL_ROWS = ("a_symmetric", "anticommutator_k_a", "q_plus_squared",
