@@ -64,6 +64,13 @@ class LevelLabel:
         return self.n - self.l - 1
 
 
+def level_label(sector: KappaSector, k: int) -> LevelLabel:
+    """Label of the sector's k-th bound level, k = 0 the lowest: n' = k for
+    kappa > 0, n' = k + 1 for kappa < 0, which has no n' = 0 level."""
+    n_prime = k if sector.sign > 0 else k + 1
+    return LevelLabel(n=sector.l + 1 + n_prime, l=sector.l, sign=sector.sign)
+
+
 def ground_energy(params: PhysParams, kappa: float) -> float:
     """Lowest level of the kappa sector (the supersymmetric singlet), E/m.
 

@@ -131,27 +131,11 @@ def _write(ns: argparse.Namespace, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _make_params(ns: argparse.Namespace, D: int) -> PhysParams:
-    try:
-        return PhysParams(D=D, z_alpha=ns.zalpha)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-
-
-def _grid_for(ns: argparse.Namespace, sector, n_points: int):
-    params = ns.params
-    if ns.r_max is None:
-        return default_grid(params, sector, n_points=n_points)
-    unit = sector.abs_kappa / (params.z_alpha * params.m)
-    return default_grid(params, sector, n_points=n_points,
-                        r_max_factor=ns.r_max / unit)
-
-
-def cmd_spectrum(ns: argparse.Namespace) -> int:
+def cmd_spectrum(ns: argparse.Namespace) -> tuple:
     params = ns.params
     sector = kappa_of(params, ns.l, ns.sign)
     n_points = ns.grid_points[0] if ns.grid_points else DEFAULT_GRID_POINTS
-    grid = _grid_for(ns, sector, n_points)
+    grid = default_grid(params, sector, n_points, ns.r_max)
     pairs = radial.solve_bound_levels(params, sector, grid, count=ns.levels)
     if not pairs:
         # The window ends 1e-12 m below m: Z alpha below about 1.4e-6 (at
@@ -165,10 +149,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
                "abs_diff", "rel_diff")
     rows = []
     for k, pair in enumerate(pairs):
-        n_prime = k if ns.sign > 0 else k + 1
-        label = analytic.LevelLabel(n=ns.l + 1 + n_prime, l=ns.l,
-                                    sign=ns.sign)
-        exact = analytic.energy(params, label)
+        exact = analytic.energy(params, analytic.level_label(sector, k))
         diff = pair.energy - exact
         rows.append([params.D, params.z_alpha, ns.l, ns.sign, sector.kappa, k,
                      pair.energy, pair.norm_weight_small, exact,
@@ -181,8 +162,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         "r_max": grid.r_max,
         "rows": [dict(zip(columns, r)) for r in rows],
     }
-    _write(ns, _render(ns, columns, rows, json_obj))
-    return EXIT_OK
+    return columns, rows, json_obj, ""
 
 
 def _clifford_rows(D: int) -> list:
@@ -199,18 +179,19 @@ def _susy_block_rows(ns: argparse.Namespace) -> list:
     params, abs_kappa = ns.params, ns.abs_kappa
     base = ns.grid_points[0] if ns.grid_points else DEFAULT_VERIFY_BASE
     plus_sector = susy.sector_pair(params, abs_kappa)[1]
-    block = susy.build_susy_block(params, abs_kappa,
-                                  grid=_grid_for(ns, plus_sector, base))
+    block = susy.build_susy_block(
+        params, abs_kappa,
+        grid=default_grid(params, plus_sector, base, ns.r_max))
     verification = susy.verify_A_squared(susy.build_A(block))
     prefix = f"D{params.D}:k{abs_kappa:g}:"
     rows = [dict(r.to_dict(), name=prefix + r.name)
             for r in verification.rows]
     pair_n = base * 4
-    if ns.r_max is None:
-        report = susy.spectral_pairing_at(params, abs_kappa, n_points=pair_n)
-    else:
-        grid = _grid_for(ns, plus_sector, pair_n)
-        report = susy.spectral_pairing_at(params, abs_kappa, grid=grid)
+    # Without --r-max the pairing picks its own box (susy._pairing_r_max).
+    grid = None if ns.r_max is None \
+        else default_grid(params, plus_sector, pair_n, ns.r_max)
+    report = susy.spectral_pairing_at(params, abs_kappa, grid=grid,
+                                      n_points=pair_n)
     rows.append({"name": prefix + "witten_index_is_one",
                  "norm_type": "count",
                  "residual": float(abs(report.witten_index - 1)),
@@ -224,7 +205,7 @@ def _susy_block_rows(ns: argparse.Namespace) -> list:
     return rows
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
+def cmd_verify(ns: argparse.Namespace) -> tuple:
     if ns.clifford_only:
         for D in ns.D:  # the whole range, before any check runs
             clifford.spinor_dim(D)
@@ -233,17 +214,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         rows = _clifford_rows(ns.params.D) + _susy_block_rows(ns)
     columns = ("name", "norm_type", "residual", "refinement_order", "pass")
     table = [[r[c] for c in columns] for r in rows]
-    all_passed = all(r["pass"] for r in rows)
-    json_obj = {"command": "verify", "rows": rows, "pass": all_passed}
-    _write(ns, _render(ns, columns, table, json_obj))
-    if not all_passed:
-        first = next(r["name"] for r in rows if not r["pass"])
-        print(f"FAILED: {first}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    failed = next((r["name"] for r in rows if not r["pass"]), "")
+    json_obj = {"command": "verify", "rows": rows, "pass": not failed}
+    return columns, table, json_obj, failed
 
 
-def cmd_kernel(ns: argparse.Namespace) -> int:
+def cmd_kernel(ns: argparse.Namespace) -> tuple:
     params = ns.params
     family = ns.grid_points or KERNEL_FAMILY
     report = susy.kernel_annihilation_report(params, ns.abs_kappa,
@@ -269,15 +245,11 @@ def cmd_kernel(ns: argparse.Namespace) -> int:
         "rq_rel_error": report.rq_rel_error,
         "pass": passed,
     }
-    _write(ns, _render(ns, columns, rows, json_obj))
-    if failed:
-        print(f"FAILED: {failed}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return columns, rows, json_obj, failed
 
 
-def cmd_levels(ns: argparse.Namespace) -> int:
-    family = [_make_params(ns, d) for d in ns.D]
+def cmd_levels(ns: argparse.Namespace) -> tuple:
+    family = [PhysParams(D=d, z_alpha=ns.zalpha) for d in ns.D]
     rows = analytic.level_scheme_export(family, n_max=ns.n_max).rows
     bottoms = Counter()
     for r in rows:
@@ -291,21 +263,18 @@ def cmd_levels(ns: argparse.Namespace) -> int:
         "rows": [dict(zip(columns, t)) for t in table],
         "pass": not bad,
     }
-    _write(ns, _render(ns, columns, table, json_obj))
-    if bad:
-        print(f"FAILED: ladders without a unique bottom: {bad}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    failed = f"ladders without a unique bottom: {bad}" if bad else ""
+    return columns, table, json_obj, failed
 
 
-def cmd_convergence(ns: argparse.Namespace) -> int:
+def cmd_convergence(ns: argparse.Namespace) -> tuple:
     params = ns.params
     sector = kappa_of(params, ns.l, ns.sign)
     points = ns.grid_points or (200, 400, 800)
-    grids = [_grid_for(ns, sector, n) for n in points]
+    grids = [default_grid(params, sector, n, ns.r_max) for n in points]
     report = radial.convergence_study(params, sector, grids, count=ns.levels)
-    passed = report.min_fitted_order >= ns.min_order
+    failed = "" if report.min_fitted_order >= ns.min_order else (
+        f"min fitted order {report.min_fitted_order:.3f} < {ns.min_order}")
     columns = ("level_index", "n_points", "E_over_m", "exact_E_over_m",
                "abs_error", "ratio", "fitted_order")
     rows = []
@@ -321,14 +290,9 @@ def cmd_convergence(ns: argparse.Namespace) -> int:
         "n_points": list(report.n_points),
         "min_fitted_order": report.min_fitted_order,
         "rows": [dict(zip(columns, r)) for r in rows],
-        "pass": passed,
+        "pass": not failed,
     }
-    _write(ns, _render(ns, columns, rows, json_obj))
-    if not passed:
-        print(f"FAILED: min fitted order {report.min_fitted_order:.3f} "
-              f"< {ns.min_order}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return columns, rows, json_obj, failed
 
 
 _COMMANDS = {
@@ -453,13 +417,19 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
         return ns
     if len(ns.D) != 1:
         raise CLIError(f"{ns.command} needs a single --D, got a range")
-    ns.params = _make_params(ns, ns.D[0])
+    ns.params = PhysParams(D=ns.D[0], z_alpha=ns.zalpha)
     if "abs_kappa" in ns and ns.abs_kappa is None:
         ns.abs_kappa = (ns.D[0] - 1) / 2
     return ns
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    Each cmd_* returns (columns, table rows, json document, failed gate),
+    the gate "" on a pass; main alone renders, writes, and prints the
+    `FAILED: <gate>` line, then the notices.
+    """
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -468,7 +438,13 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return _COMMANDS[ns.command](_checked(ns))
+            ns = _checked(ns)
+            columns, rows, json_obj, failed = _COMMANDS[ns.command](ns)
+            _write(ns, _render(ns, columns, rows, json_obj))
+            if failed:
+                print(f"FAILED: {failed}", file=sys.stderr)
+                return EXIT_CHECK_FAILED
+            return EXIT_OK
         except (CLIError, SusyhError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -215,15 +215,6 @@ class CliffordReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "spinor_dim": self.spinor_dim,
-            "all_passed": self.all_passed,
-            "rows": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                     for r in self.rows],
-        }
-
 
 def _check_values(*vals) -> None:
     """Raise ValueError unless every product value is nonzero and finite,

@@ -119,9 +119,9 @@ class RadialGrid:
         for arr in (self.nodes, self.nodes_small, self.weights, self.weights_small):
             arr.flags.writeable = False
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same domain with n_points scaled by `factor`."""
-        return make_grid(self.r_min, self.r_max, self.n_points * factor)
+    def refined(self) -> "RadialGrid":
+        """Same domain with twice the points."""
+        return make_grid(self.r_min, self.r_max, self.n_points * 2)
 
 
 def make_grid(r_min: float, r_max: float, n_points: int) -> RadialGrid:
@@ -153,15 +153,17 @@ def default_grid(
     params: PhysParams,
     sector: KappaSector,
     n_points: int = 800,
-    r_max_factor: float = 60.0,
+    r_max: float | None = None,
 ) -> RadialGrid:
-    """Sector-adapted grid on [wall * u, r_max_factor * u], u = |kappa|/(Z alpha m).
+    """Sector-adapted grid on [wall * u, r_max], u = |kappa|/(Z alpha m).
 
-    The wall factor 10^(-max(6, 3/s)) keeps the truncated r^(2s) weight below
-    ~1e-6 even for small s, while keeping the log-grid span (and hence the
-    step) as small as accuracy allows.  Raises GridError when the wall
-    falls below the smallest normal double, which it reaches as s -> 0
-    (near-critical z_alpha).
+    r_max is the outer radius itself, used exactly as given; None puts it
+    at 60 * u, which holds the nodeless state's tail.  The wall factor
+    10^(-max(6, 3/s)) keeps the truncated r^(2s) weight below ~1e-6 even
+    for small s, while keeping the log-grid span (and hence the step) as
+    small as accuracy allows.  Raises GridError when the wall falls below
+    the smallest normal double, which it reaches as s -> 0 (near-critical
+    z_alpha).
     """
     unit = sector.abs_kappa / (params.z_alpha * params.m)
     wall = 10.0 ** (-max(6.0, 3.0 / sector.s))
@@ -172,4 +174,6 @@ def default_grid(
             f"smallest normal double: the wall 10^(-3/s) underflowed at "
             f"s = {sector.s:.6g}; use a smaller z_alpha (--zalpha)"
         )
-    return make_grid(r_min, r_max_factor * unit, n_points)
+    if r_max is None:
+        r_max = 60.0 * unit
+    return make_grid(r_min, r_max, n_points)

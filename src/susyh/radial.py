@@ -54,7 +54,8 @@ MIN_CONVERGENCE_ORDER = 1.8
 
 
 class TruncationWarning(UserWarning):
-    """Fewer bound levels resolvable than requested."""
+    """Fewer bound levels resolvable than requested, or a box too short
+    for the levels a check compares."""
 
 
 @dataclass(frozen=True)
@@ -579,7 +580,7 @@ def solve_bound_levels(
         warnings.warn(f"no bound levels in (0, m); requested {count}",
                       TruncationWarning)
         return []
-    fine = (_sector_bands(params, sector, grid.refined(2), layout)
+    fine = (_sector_bands(params, sector, grid.refined(), layout)
             if stability_check else None)
     lo, hi = _window_bounds(m)
     kept = []
@@ -691,10 +692,9 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Solve on each grid and fit the error order against the level formula.
 
-    The reference for level index k is the analytic energy of radial quantum
-    number n' = k (kappa > 0) or n' = k + 1 (kappa < 0, which has no n' = 0
-    level).  Ratios and fitted_order of the errors follow refinement, and
-    the family must pass check_family.
+    The reference for level index k is the closed-form energy of
+    analytic.level_label(sector, k).  Ratios and fitted_order of the errors
+    follow refinement, and the family must pass check_family.
     """
     grids = list(grid_family)
     ns = [g.n_points for g in grids]
@@ -711,9 +711,7 @@ def convergence_study(
     energies = np.array(per_level)  # shape (n_grids, count)
     rows = []
     for k in range(count):
-        n_prime = k if sector.sign > 0 else k + 1
-        label = analytic.LevelLabel(n=sector.l + 1 + n_prime, l=sector.l,
-                                    sign=sector.sign)
+        label = analytic.level_label(sector, k)
         exact = analytic.energy(params, label)
         errs = np.abs(energies[:, k] - exact)
         ratios, order = refinement(ns, errs)

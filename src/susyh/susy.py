@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -370,7 +371,7 @@ def build_A(block: SusyBlock, eta: int | None = None,
         # Agreement "to discretization tolerance" means the gap between the
         # two assemblies vanishes under refinement; its absolute size at one
         # grid is dominated by wall-amplified cusp error when s is small.
-        fine = block.grid.refined(2)
+        fine = block.grid.refined()
         gap = _alternate_gap(params, ak, block.grid, eta, a_mp)
         gap_fine = _alternate_gap(params, ak, fine, eta,
                                   _assemble_a_mp(params, ak, fine, eta))
@@ -543,7 +544,7 @@ def verify_A_squared(block: SusyBlock) -> SusyVerification:
     a_mp, hp, hm = a[:n2, n2:], blk.plus.csr, blk.minus.csr
     for level in range(REFINEMENTS + 1):
         if level:
-            grid = grid.refined(2)
+            grid = grid.refined()
             a_mp = _assemble_a_mp(params, ak, grid, blk.eta)
             hp = radial._sector_csr(params, plus_sector, grid, radial.STANDARD)
             hm = radial._sector_csr(params, minus_sector, grid, radial.SWAPPED)
@@ -644,9 +645,10 @@ def _match_levels(params: PhysParams, abs_kappa: float,
                          witten_index=witten, reason=reason)
 
 
-def _pairing_grid(params: PhysParams, plus_sector: KappaSector,
-                  n_points: int, count: int) -> RadialGrid:
-    """Block default grid widened so the top tested level's tail fits.
+def _pairing_r_max(params: PhysParams, plus_sector: KappaSector,
+                   count: int) -> float:
+    """Outer radius of the block default grid, widened so the top tested
+    level's tail fits.
 
     default_grid sizes r_max for the nodeless state, but level n' decays
     like exp(-sqrt(m^2 - E^2) r), so the count-th pair needs roughly
@@ -655,14 +657,12 @@ def _pairing_grid(params: PhysParams, plus_sector: KappaSector,
     already satisfy this at the default 60 units; small half-integer
     |kappa| blocks need the wider box.
     """
-    label = analytic.LevelLabel(n=count + plus_sector.l + 1,
-                                l=plus_sector.l, sign=1)
+    label = analytic.level_label(plus_sector, count)
     e_top = params.m * analytic.energy(params, label)
     lam = math.sqrt(params.m ** 2 - e_top ** 2)
     unit = plus_sector.abs_kappa / (params.z_alpha * params.m)
     factor = max(60.0, 14.0 / (lam * unit))
-    return default_grid(params, plus_sector, n_points=n_points,
-                        r_max_factor=factor)
+    return factor * unit
 
 
 def spectral_pairing_at(
@@ -682,14 +682,21 @@ def spectral_pairing_at(
     in O(n) memory.
 
     With grid=None the block default grid is used, widened if needed so the
-    top pair's exponential tail fits the box (see _pairing_grid).
-    Gaps shrink like the square of the step, so a block whose pairing sits
-    above PAIRING_TOL on that grid (small s makes the cusp expensive) just
-    needs more points.
+    top pair's exponential tail fits the box (see _pairing_r_max); a given
+    grid that ends short of that box gets a TruncationWarning, since its
+    gaps then measure the box rather than the step.  Gaps shrink like the
+    square of the step, so a block whose pairing sits above PAIRING_TOL on
+    the default grid (small s makes the cusp expensive) just needs more
+    points.
     """
     minus_sector, plus_sector = sector_pair(params, abs_kappa)
+    box = _pairing_r_max(params, plus_sector, PAIRING_COUNT)
     if grid is None:
-        grid = _pairing_grid(params, plus_sector, n_points, PAIRING_COUNT)
+        grid = default_grid(params, plus_sector, n_points, box)
+    elif grid.r_max < box:
+        warnings.warn(f"pairing grid r_max = {grid.r_max:.6g} is below "
+                      f"{box:.6g}, the box the top pair's tail needs; "
+                      f"pass a larger --r-max", radial.TruncationWarning)
     plus_pairs = radial.solve_bound_levels(params, plus_sector, grid,
                                            layout=radial.STANDARD,
                                            count=PAIRING_COUNT + 1)
@@ -736,23 +743,19 @@ def kernel_annihilation_report(
     params: PhysParams,
     abs_kappa: float,
     n_points: tuple = (200, 400, 800, 1600),
-    eta: int | None = None,
 ) -> KernelReport:
     """Measure ||A psi_0|| (interior) under refinement, plus the Rayleigh
     quotient of H on psi_0 at the finest grid against the closed form.
 
     All grids share the sector's default domain, so the family is a genuine
-    refinement ladder.  eta = None uses the derived sign ETA = +1; a forced
-    -1 is the negative control.
+    refinement ladder.  A is assembled with the derived sign ETA = +1.
     """
     radial.check_family(n_points)
     _, plus_sector = sector_pair(params, abs_kappa)
     grids = [default_grid(params, plus_sector, n_points=n) for n in n_points]
-    if eta is None:
-        eta = ETA
     residuals = []
     for grid in grids:
-        a_mp = _assemble_a_mp(params, abs_kappa, grid, eta)
+        a_mp = _assemble_a_mp(params, abs_kappa, grid, ETA)
         v = _kernel_flat_vector(params, abs_kappa, grid)
         residuals.append(interior_norm(a_mp @ v, grid.n_points, 2))
     h_plus = radial._sector_csr(params, plus_sector, grids[-1])

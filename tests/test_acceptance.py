@@ -141,7 +141,7 @@ def test_07_pairing_and_witten_index(capsys):
             # s = 0.3: the n' = 3 state extends past the default box, so the
             # gap saturates on domain truncation, not on the step.
             grid = default_grid(p, sector_pair(p, ak)[1], n_points=1600,
-                                r_max_factor=120.0)
+                                r_max=120.0 * (ak / (p.z_alpha * p.m)))
             report = spectral_pairing_at(p, ak, grid=grid)
         else:
             report = spectral_pairing_at(p, ak)

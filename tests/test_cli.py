@@ -50,6 +50,14 @@ def test_spectrum_json_roundtrip(capsys):
     assert abs(row["E_over_m"] - row["analytic_E_over_m"]) == row["abs_diff"]
 
 
+def test_spectrum_r_max_is_the_outer_radius(capsys):
+    # --r-max reaches the grid as given; (R / u) * u is an ulp off here.
+    rc, out, err = run(capsys, ["spectrum", "--D", "3", "--zalpha", "0.3",
+                                "--r-max", "123.4", "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["r_max"] == 123.4
+
+
 def test_spectrum_minus_sector_reference(capsys):
     rc, out, _ = run(capsys, ["spectrum", "--D", "3", "--sign", "-",
                               "--grid-points", "400", "--levels", "2",
@@ -138,13 +146,32 @@ def test_verify_r_max_sets_the_block_grid(capsys):
 ])
 def test_library_warnings_become_notices(capsys, argv, tail):
     # notice lines follow the command's own stderr, with no raw warning text.
+    # verify's box is also short of the pairing box, whose notice comes first.
     rc, _, err = run(capsys, argv)
     assert rc in (1, 2)
     first, _, notices = err.partition("\n")
     assert first + "\n" == tail
-    assert notices and all(line.startswith("notice: only ")
-                           for line in notices.splitlines())
+    lines = notices.splitlines()
+    if argv[0] == "verify":
+        assert lines.pop(0).startswith("notice: pairing grid r_max = 30 ")
+    assert lines and all(line.startswith("notice: only ") for line in lines)
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("D,r_max,box,failed", [
+    ("4", "90", "180", "D4:k1.5:spectral_pairing_max_gap"),
+    ("3", "40", "120", "D3:k1:witten_index_is_one"),
+])
+def test_short_pairing_box_is_named(capsys, D, r_max, box, failed):
+    # A pairing row fails on these boxes because the top pairs' tails are
+    # cut, so the notice names both radii; the default run has no notice.
+    rc, out, err = run(capsys, ["verify", "--D", D, "--r-max", r_max])
+    assert rc == 1 and out
+    assert err.startswith(f"FAILED: {failed}\n"
+                          f"notice: pairing grid r_max = {r_max} is below "
+                          f"{box}, the box the top pair's tail needs; pass "
+                          f"a larger --r-max\n")
+    assert run(capsys, ["verify", "--D", D])[::2] == (0, "")
 
 
 def test_verify_clifford_only_range(capsys):
@@ -248,6 +275,16 @@ def test_levels_respects_n_max(capsys):
     doc = json.loads(out)
     assert doc["n_max"] == 2 and doc["z_alpha"] == 0.4
     assert len(doc["rows"]) == 4
+
+
+def test_convergence_unreachable_order_fails(capsys):
+    rc, out, err = run(capsys, ["convergence", "--D", "3", "--min-order", "5",
+                                "--format", "json"])
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert err == f"FAILED: min fitted order {doc['min_fitted_order']:.3f} " \
+                  f"< 5.0\n"
 
 
 def test_convergence(capsys):

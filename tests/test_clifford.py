@@ -415,10 +415,3 @@ def test_odd_d_phase_detail(D, phase):
     row = verify_clifford(build_gamma_rep(D)).rows[-1]
     assert row.name == "chirality_proportional_to_gamma_product"
     assert row.detail == f"phase {phase}"
-
-
-def test_report_dict_schema():
-    doc = verify_clifford(build_gamma_rep(2)).to_dict()
-    assert set(doc) == {"D", "spinor_dim", "all_passed", "rows"}
-    assert doc["all_passed"] is True
-    assert all(set(r) == {"name", "passed", "detail"} for r in doc["rows"])

@@ -52,7 +52,7 @@ def test_log_grid_layout():
 
 def test_refined_grid():
     g = make_grid(1e-5, 60.0, 100)
-    f = g.refined(2)
+    f = g.refined()
     assert f.n_points == 200
     assert (f.r_min, f.r_max) == (g.r_min, g.r_max)
     assert 0.49 < f.step / g.step < 0.51
@@ -94,7 +94,8 @@ def test_default_grid_wall_underflow_is_typed():
 def test_default_grid_scales_with_sector():
     g = default_grid(P3, SECTOR_P, n_points=100)
     unit = SECTOR_P.abs_kappa / (P3.z_alpha * P3.m)
-    assert math.isclose(g.r_max, 60.0 * unit, rel_tol=1e-12)
+    assert g.r_max == 60.0 * unit
+    assert default_grid(P3, SECTOR_P, 100, r_max=123.4).r_max == 123.4
     assert g.r_min < 1e-5 * unit
 
 
@@ -404,7 +405,7 @@ def _reference_solve(params, sector, grid, layout, count):
         raise SpuriousSpectrumError("all candidates rejected")
     vals = vals[keep]
     ref_vals, _ = _reference_window(
-        *radial._sector_bands(params, sector, grid.refined(2), layout),
+        *radial._sector_bands(params, sector, grid.refined(), layout),
         params.m)
     stable = [j for j, v in enumerate(vals)
               if ref_vals.size and np.min(np.abs(ref_vals - v))

@@ -190,7 +190,7 @@ def _reference_pin_eta(params, abs_kappa, grid):
     """Reference: the refinement race that chose eta before it was derived.
     The sign whose zero-mode action shrinks by 2x under one doubling wins;
     None when no sign, or both, does."""
-    fine = grid.refined(2)
+    fine = grid.refined()
     converging = [cand for cand in (1, -1)
                   if _kernel_residual(params, abs_kappa, fine, cand)
                   < _kernel_residual(params, abs_kappa, grid, cand) / 2.0]
@@ -219,15 +219,15 @@ def test_explicit_eta_reproduces_pinned_assembly():
         build_A(base, eta=0)
 
 
-def test_wrong_eta_breaks_kernel_annihilation():
+def test_wrong_eta_breaks_kernel_annihilation(monkeypatch):
     # With the flipped sign the zero-mode action does not shrink under
     # refinement at all: the defining contract rejects it.
     grid = default_grid(P3, sector_pair(P3, 1.0)[1], n_points=100)
     coarse = _kernel_residual(P3, 1.0, grid, -1)
-    fine = _kernel_residual(P3, 1.0, grid.refined(2), -1)
+    fine = _kernel_residual(P3, 1.0, grid.refined(), -1)
     assert fine > coarse / 2.0
-    report = kernel_annihilation_report(P3, 1.0, n_points=(100, 200, 400),
-                                        eta=-1)
+    monkeypatch.setattr(susy, "ETA", -1)
+    report = kernel_annihilation_report(P3, 1.0, n_points=(100, 200, 400))
     assert report.fitted_order < 0.5
     assert not report.passed()
 
@@ -338,11 +338,11 @@ def test_pairing_grid_widens_for_slow_tails():
     # blocks whose tails already fit must keep the stock grid bitwise.
     p2 = _params(2)
     _, plus = sector_pair(p2, 0.5)
-    widened = susy._pairing_grid(p2, plus, 800, 3)
+    widened = default_grid(p2, plus, 800, susy._pairing_r_max(p2, plus, 3))
     unit = 0.5 / (p2.z_alpha * p2.m)
     assert widened.nodes[-1] > 85.0 * unit
     _, plus3 = sector_pair(P3, 1.0)
-    stock = susy._pairing_grid(P3, plus3, 800, 3)
+    stock = default_grid(P3, plus3, 800, susy._pairing_r_max(P3, plus3, 3))
     assert np.array_equal(stock.nodes, default_grid(P3, plus3, 800).nodes)
 
 
@@ -521,7 +521,7 @@ def _dense_verify(block, refinements=2, ensemble=4):
     grid = block.grid
     for level in range(refinements + 1):
         if level:
-            grid = grid.refined(2)
+            grid = grid.refined()
         n = grid.n_points
         ns.append(n)
         a_mp, plus, hm = _dense_level(params, ak, grid, block.eta)
