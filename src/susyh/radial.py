@@ -24,7 +24,13 @@ bisection (stebz) and inverse iteration (stein) on those bands.  Only the
 levels a caller uses are bisected to full precision: a coarse pass over the
 window finds the interval of the bisection tree that holds each level, and
 bisection resumed from that interval ends on the same float as a
-bisection of the whole window (_window_levels).
+bisection of the whole window (_window_levels).  A level alone in its
+interval is first located by Rayleigh-quotient iteration, which costs a
+few tridiagonal solves, and bisection resumes from the deepest interval of
+the tree that holds the quotient give or take its residual, once a Sturm
+count finds the level there.  The computed Sturm count is monotone in the
+shift (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so that interval
+lies on the whole-window bisection's path and gives the same float.
 """
 
 from __future__ import annotations
@@ -401,7 +407,13 @@ _RESPLIT = 32
 # dstebz's relative tolerance: twice its ulp, dlamch('P') = 2^-52.
 _RELTOL = 2.0 * np.finfo(np.float64).eps
 
-_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+# Rayleigh-quotient steps at most before a one-level node is bisected, and
+# the ulps of |theta| added to a residual for the roundoff in computing it.
+_RQI_STEPS = 5
+_RQI_ULPS = 16.0
+
+_STEBZ, _STEIN, _GTSV = get_lapack_funcs(("stebz", "stein", "gtsv"),
+                                         dtype=np.float64)
 
 
 def _check_vectors(vecs: np.ndarray, e: np.ndarray) -> None:
@@ -461,6 +473,62 @@ def _node_of(v: float, a: float, b: float, tol: float,
             return a, b
 
 
+def _rayleigh(d: np.ndarray, e: np.ndarray, a: float, b: float):
+    """Rayleigh-quotient iteration on the bands from the midpoint of (a, b]:
+    (theta, r), the Rayleigh quotient of the unit iterate x with the least
+    residual r = ||T x - theta x||, so that an eigenvalue lies within r of
+    theta; or None when an iterate leaves (a, b] or a shifted solve is
+    singular.  Stops once r stops halving, after _RQI_STEPS steps at most.
+    """
+    theta = 0.5 * (a + b)
+    x = np.ones(d.size)
+    best = None
+    for _ in range(_RQI_STEPS):
+        # gtsv factors its bands in place, so it gets copies of e.
+        *_, x, info = _GTSV(e.copy(), d - theta, e.copy(), x,
+                            True, True, True, True)
+        if info:
+            return None
+        x /= np.linalg.norm(x)
+        tx = d * x
+        tx[:-1] += e * x[1:]
+        tx[1:] += e * x[:-1]
+        theta = float(x @ tx)
+        if not a < theta <= b:
+            return None
+        r = float(np.linalg.norm(tx - theta * x))
+        if best is not None and r > 0.5 * best[1]:
+            return min(best, (theta, r), key=lambda t: t[1])
+        best = theta, r
+    return best
+
+
+def _jump(d: np.ndarray, e: np.ndarray, a: float, b: float,
+          pivmin: float):
+    """(1, the one eigenvalue of the bisection node (a, b]) at full
+    precision, bisected from the deepest node below (a, b] that holds the
+    Rayleigh quotient give or take its residual; None when that node does
+    not hold exactly one eigenvalue.  See _window_levels."""
+    got = _rayleigh(d, e, a, b)
+    if got is None:
+        return None
+    theta, r = got
+    delta = r + _RQI_ULPS * np.finfo(np.float64).eps * abs(theta)
+    while True:
+        c = 0.5 * (a + b)
+        if theta - delta > c:
+            child = c, b
+        elif theta + delta <= c:
+            child = a, c
+        else:
+            break
+        if _converged(*child, _FULL_PRECISION, pivmin):
+            break
+        a, b = child
+    got = _bisect(d, e, a, b, _FULL_PRECISION)
+    return got if got[0] == 1 else None
+
+
 def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
                  count: int, tol: float, pivmin: float):
     """(how many eigenvalues lie in the bisection node (a, b], the lowest
@@ -483,7 +551,9 @@ def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
             got = _node_levels(d, e, na, nb, count - len(levels),
                                tol / _RESPLIT, pivmin)
         else:
-            got = _bisect(d, e, na, nb, _FULL_PRECISION)
+            got = _jump(d, e, na, nb, pivmin) if k == 1 else None
+            if got is None:
+                got = _bisect(d, e, na, nb, _FULL_PRECISION)
         if got is None or got[0] != k:
             return None
         levels.extend(got[1])
@@ -510,6 +580,18 @@ def _window_levels(d: np.ndarray, e: np.ndarray, m: float,
     crowd below m (Z alpha = 0.1 binds by at most 5e-3 m), where one
     split leaves most of them in a node.  If a node is not found again (a
     LAPACK whose bisection differs), the whole window is bisected.
+
+    A node (na, nb] that holds one level is not bisected from its ends
+    (_jump).  Rayleigh-quotient iteration from its midpoint (_rayleigh)
+    gives theta and a residual r, so an eigenvalue lies within r of theta.
+    Halving (na, nb] as _node_of does finds the deepest node (a, b] that
+    holds theta +- delta, delta = r + _RQI_ULPS eps |theta|, and (a, b] is
+    bisected at full precision.  Its result is kept only when (a, b] holds
+    exactly one eigenvalue.  The computed Sturm count N is monotone
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995) and (na, nb] holds
+    one level, so then N(a) = N(na) and N(b) = N(nb): every ancestor's
+    midpoint sends bisection into (a, b], and the value is the whole-window
+    pass's.  Otherwise (na, nb] is bisected from its ends.
     """
     lo, hi = _window_bounds(m)
     # dstebz's pivot floor: the underflow threshold times max(1, max e^2).
@@ -567,9 +649,9 @@ def solve_bound_levels(
     large for the solver (near-critical walls); emits TruncationWarning
     when fewer than count levels survive.
     """
-    bands = _sector_bands(params, sector, grid, layout)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    bands = _sector_bands(params, sector, grid, layout)
     m = params.m
     # At least one level, so that a window of nothing but rejects still
     # raises; the result equals filtering the whole window and taking the

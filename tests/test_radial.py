@@ -272,6 +272,18 @@ def test_negative_count_is_rejected():
         solve_bound_levels(P3, SECTOR_P, grid, count=-1)
 
 
+def test_negative_count_is_rejected_before_the_bands():
+    # D = 2, Z alpha = 0.4999: the default grid's bands overflow bisection
+    # (GridError), but a bad count is named first, without building them.
+    p = PhysParams(D=2, z_alpha=0.4999)
+    sector = kappa_of(p, 0, 1)
+    grid = default_grid(p, sector)
+    with pytest.raises(GridError):
+        radial._sector_bands(p, sector, grid, STANDARD)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        solve_bound_levels(p, sector, grid, count=-1)
+
+
 def test_layout_validation():
     grid = default_grid(P3, SECTOR_P, n_points=60)
     with pytest.raises(ValueError):
@@ -538,8 +550,9 @@ def _sector_domain():
     return workloads.sector_domain()
 
 
-# Tier-1 runs n = 150; SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40 and 800.
-WINDOW_POINTS = (40, 150, 800) if os.environ.get("SUSYH_BISECTION_SWEEP") \
+# Tier-1 runs n = 150; SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800
+# and 3200, where most levels come from the Rayleigh-quotient jump.
+WINDOW_POINTS = (40, 150, 800, 3200) if os.environ.get("SUSYH_BISECTION_SWEEP") \
     else (150,)
 
 
@@ -549,12 +562,8 @@ def _whole_window(d, e, m):
                             lapack_driver="stebz", tol=radial._FULL_PRECISION)
 
 
-def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
-    # With replayed set, a count below the window size must not bisect the
-    # whole window at full precision (every node was found again), nor any
-    # level past the count (nodes that mix in unwanted levels are split).
-    ref = _whole_window(d, e, m)
-    whole = (*radial._window_bounds(m), radial._FULL_PRECISION)
+def _record_bisections(patch):
+    """Make _bisect record its calls as {(lo, hi, tol): their result}."""
     passes = {}
     original = radial._bisect
 
@@ -562,10 +571,19 @@ def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
         passes[args] = original(d, e, *args)
         return passes[args]
 
+    patch.setattr(radial, "_bisect", recorded)
+    return passes
+
+
+def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
+    # With replayed set, a count below the window size must not bisect the
+    # whole window at full precision (every node was found again), nor any
+    # level past the count (nodes that mix in unwanted levels are split).
+    ref = _whole_window(d, e, m)
+    whole = (*radial._window_bounds(m), radial._FULL_PRECISION)
     for count in (1, 2, 3, 4, ref.size + 2):
-        passes.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(radial, "_bisect", recorded)
+            passes = _record_bisections(patch)
             size, values = radial._window_levels(d, e, m, count)
         assert size == ref.size
         assert np.array_equal(values, ref[:count])
@@ -609,6 +627,78 @@ def test_window_levels_fall_back_when_a_node_is_lost(monkeypatch):
     _assert_window_levels_bitwise(
         monkeypatch, *radial._sector_bands(P3, SECTOR_P, grid, STANDARD),
         P3.m, replayed=False)
+
+
+def test_window_levels_jump_past_the_coarse_nodes(monkeypatch):
+    # At n = 3000 the coarse nodes are 7.8e-3 m wide.  The two lowest
+    # levels sit alone in theirs; the third shares one with the fourth,
+    # which a count of 3 splits further (a count of 4 bisects it whole).
+    # Each level alone in a node gets its full-precision bisection from
+    # the Rayleigh-quotient jump, over a node under 1e-9 m wide.
+    grid = default_grid(P3, SECTOR_P, n_points=3000)
+    d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
+    ref = _whole_window(d, e, P3.m)
+    for count in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            passes = _record_bisections(patch)
+            size, values = radial._window_levels(d, e, P3.m, count)
+        assert size == ref.size > count
+        assert np.array_equal(values, ref[:count])
+        full = [(hi - lo, got[0]) for (lo, hi, tol), got in passes.items()
+                if tol == radial._FULL_PRECISION]
+        assert len(full) == count
+        assert all(width < 1e-9 * P3.m and k == 1 for width, k in full)
+
+
+def _misplaced_quotient(where):
+    """A _rayleigh stand-in whose theta misses the node's level."""
+    original = radial._rayleigh
+
+    def rayleigh(d, e, a, b):
+        if where == "above":
+            return b + (b - a), 0.0
+        if where == "below":
+            return a - (b - a), 0.0
+        theta, r = original(d, e, a, b)
+        ulps = 4096 if where == "ulps above" else -4096
+        return theta + ulps * np.spacing(theta), r
+
+    return rayleigh
+
+
+@pytest.mark.parametrize("where", ["above", "below", "ulps above",
+                                   "ulps below"])
+def test_window_levels_fall_back_when_the_jump_misses(monkeypatch, where):
+    # A Rayleigh quotient outside the node, or thousands of ulps off with
+    # its residual, gives a node that does not hold the level: the count
+    # there rejects it and the coarse node is bisected instead.
+    grid = default_grid(P3, SECTOR_P, n_points=150)
+    d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
+    missed = []
+    original = radial._jump
+
+    def jump(*args):
+        got = original(*args)
+        missed.append(got is None)
+        return got
+
+    monkeypatch.setattr(radial, "_rayleigh", _misplaced_quotient(where))
+    monkeypatch.setattr(radial, "_jump", jump)
+    _assert_window_levels_bitwise(monkeypatch, d, e, P3.m)
+    assert missed and all(missed)
+
+
+def test_window_solve_leaves_the_bands_unchanged():
+    # The bands go on to inverse iteration after bisection; gtsv factors
+    # its arguments in place, so _rayleigh must hand it copies.
+    grid = default_grid(P3, SECTOR_P, n_points=400)
+    for layout in (STANDARD, SWAPPED):
+        d, e = radial._sector_bands(P3, SECTOR_P, grid, layout)
+        d0, e0 = d.tobytes(), e.tobytes()
+        for count in (1, 3, 100):
+            _, values = radial._window_levels(d, e, P3.m, count)
+            radial._eigenvectors(d, e, values)
+            assert d.tobytes() == d0 and e.tobytes() == e0
 
 
 # --- The band operator type: every operation against its dense form. ---
