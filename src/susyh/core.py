@@ -163,7 +163,7 @@ def default_grid(
     for small s, while keeping the log-grid span (and hence the step) as
     small as accuracy allows.  Raises GridError when the wall falls below
     the smallest normal double, which it reaches as s -> 0 (near-critical
-    z_alpha).
+    z_alpha), or when r_max is not above the wall.
     """
     unit = sector.abs_kappa / (params.z_alpha * params.m)
     wall = 10.0 ** (-max(6.0, 3.0 / sector.s))
@@ -176,4 +176,9 @@ def default_grid(
         )
     if r_max is None:
         r_max = 60.0 * unit
+    if r_max <= r_min:
+        raise GridError(
+            f"r_max = {r_max!r} is not above the inner wall r_min = "
+            f"{r_min:.3g}; use a larger r_max (--r-max)"
+        )
     return make_grid(r_min, r_max, n_points)

@@ -22,9 +22,10 @@ component values just outside [r_min, r_max] are dropped.
 Bound levels are the eigenvalues in the window (0, m), found by LAPACK
 bisection (stebz) and inverse iteration (stein) on those bands.  Only the
 levels a caller uses are bisected to full precision: a coarse pass over the
-window finds the interval of the bisection tree that holds each level, and
-bisection resumed from that interval ends on the same float as a
-bisection of the whole window (_window_levels).  A level alone in its
+window finds the interval of the bisection tree that holds each level, an
+interval that holds several levels is split further until each is alone,
+and bisection resumed from an interval ends on the same float as a
+bisection of the whole window (_window_levels).  Each level alone in its
 interval is first located by Rayleigh-quotient iteration, which costs a
 few tridiagonal solves, and bisection resumes from the deepest interval of
 the tree that holds the quotient give or take its residual, once a Sturm
@@ -401,7 +402,7 @@ def _split_doublet(layout: str, grid: RadialGrid, column: np.ndarray) -> tuple:
 _FULL_PRECISION = 2.0 * np.finfo(np.float64).tiny
 
 # _window_levels' coarse tolerance, in units of m, and the factor by which a
-# node that holds both wanted and unwanted levels is split further.
+# node that holds more than one level is split further.
 _COARSE_TOL = 1e-2
 _RESPLIT = 32
 # dstebz's relative tolerance: twice its ulp, dlamch('P') = 2^-52.
@@ -462,13 +463,17 @@ def _converged(a: float, b: float, tol: float, pivmin: float) -> bool:
     return b - a < max(tol, pivmin, _RELTOL * max(abs(a), abs(b)))
 
 
-def _node_of(v: float, a: float, b: float, tol: float,
+def _node_of(lo: float, hi: float, a: float, b: float, tol: float,
              pivmin: float) -> tuple:
-    """The interval that bisection from (a, b] to tolerance tol ends in
-    when it returns the value v, found by halving as dlaebz does."""
+    """Halve the bisection node (a, b] as dlaebz does, toward [lo, hi]: the
+    node where bisection to tolerance tol stops, or the deepest node that
+    holds [lo, hi] whole if a midpoint falls inside it first.  With lo = hi
+    = v, the node that bisection ends in when it returns the value v."""
     while True:
         c = 0.5 * (a + b)
-        a, b = (c, b) if v > c else (a, c)
+        if lo <= c < hi:
+            return a, b
+        a, b = (c, b) if lo > c else (a, c)
         if _converged(a, b, tol, pivmin):
             return a, b
 
@@ -508,23 +513,17 @@ def _jump(d: np.ndarray, e: np.ndarray, a: float, b: float,
     """(1, the one eigenvalue of the bisection node (a, b]) at full
     precision, bisected from the deepest node below (a, b] that holds the
     Rayleigh quotient give or take its residual; None when that node does
-    not hold exactly one eigenvalue.  See _window_levels."""
+    not hold exactly one eigenvalue, or has converged (stebz would split it
+    once more, to another value).  See _window_levels."""
     got = _rayleigh(d, e, a, b)
     if got is None:
         return None
     theta, r = got
     delta = r + _RQI_ULPS * np.finfo(np.float64).eps * abs(theta)
-    while True:
-        c = 0.5 * (a + b)
-        if theta - delta > c:
-            child = c, b
-        elif theta + delta <= c:
-            child = a, c
-        else:
-            break
-        if _converged(*child, _FULL_PRECISION, pivmin):
-            break
-        a, b = child
+    a, b = _node_of(theta - delta, theta + delta, a, b, _FULL_PRECISION,
+                    pivmin)
+    if _converged(a, b, _FULL_PRECISION, pivmin):
+        return None
     got = _bisect(d, e, a, b, _FULL_PRECISION)
     return got if got[0] == 1 else None
 
@@ -535,23 +534,21 @@ def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
     count of them at full precision), or None when a node is not found
     again.  See _window_levels."""
     size, coarse = _bisect(d, e, a, b, tol)
-    if count >= size:
-        return size, _bisect(d, e, a, b, _FULL_PRECISION)[1]
     levels = []
     for v, k in zip(*np.unique(coarse, return_counts=True)):
         if len(levels) >= count:
             break
-        na, nb = _node_of(v, a, b, tol, pivmin)
+        na, nb = _node_of(v, v, a, b, tol, pivmin)
         if 0.5 * (na + nb) != v:
             return None
         if _converged(na, nb, _FULL_PRECISION, pivmin):
             # The full-precision pass stops here too, at the same midpoint.
             got = k, np.full(k, v)
-        elif len(levels) + k > count:
+        elif k > 1:
             got = _node_levels(d, e, na, nb, count - len(levels),
                                tol / _RESPLIT, pivmin)
         else:
-            got = _jump(d, e, na, nb, pivmin) if k == 1 else None
+            got = _jump(d, e, na, nb, pivmin)
             if got is None:
                 got = _bisect(d, e, na, nb, _FULL_PRECISION)
         if got is None or got[0] != k:
@@ -572,19 +569,20 @@ def _window_levels(d: np.ndarray, e: np.ndarray, m: float,
     Each value it returns is the midpoint of the interval (node) it stops
     in, and that node, its Sturm counts and everything bisected below it
     are fixed by the node alone.  So a coarse pass finds the window size
-    and one node per cluster of levels; only the nodes that hold one of
-    the lowest count levels are bisected on at full precision, each from
-    its own (a, b], which gives the whole-window pass's values.  A node
-    that also holds unwanted levels is split the same way at a tolerance
-    _RESPLIT times finer, and so on down: at weak coupling the levels
-    crowd below m (Z alpha = 0.1 binds by at most 5e-3 m), where one
-    split leaves most of them in a node.  If a node is not found again (a
-    LAPACK whose bisection differs), the whole window is bisected.
+    and one node per cluster of levels, and only the nodes that hold one of
+    the lowest count levels are refined, each from its own (a, b], which
+    gives the whole-window pass's values.  A node that has converged at
+    full precision already gives its midpoint.  Otherwise one rule holds: a
+    node of several levels is split the same way at a tolerance _RESPLIT
+    times finer, and so on down until each level is alone (at weak
+    coupling the levels crowd below m, Z alpha = 0.1 binding by at most
+    5e-3 m), and a node of one level jumps.  If a node is not found again
+    (a LAPACK whose bisection differs), the whole window is bisected.
 
-    A node (na, nb] that holds one level is not bisected from its ends
-    (_jump).  Rayleigh-quotient iteration from its midpoint (_rayleigh)
-    gives theta and a residual r, so an eigenvalue lies within r of theta.
-    Halving (na, nb] as _node_of does finds the deepest node (a, b] that
+    The jump (_jump): Rayleigh-quotient iteration from the midpoint of the
+    node (na, nb] (_rayleigh) gives theta and a residual r, so an
+    eigenvalue lies within r of theta.  The descent that finds the coarse
+    nodes (_node_of) finds the deepest node (a, b] below (na, nb] that
     holds theta +- delta, delta = r + _RQI_ULPS eps |theta|, and (a, b] is
     bisected at full precision.  Its result is kept only when (a, b] holds
     exactly one eigenvalue.  The computed Sturm count N is monotone
@@ -787,7 +785,8 @@ def convergence_study(
         if len(pairs) < count:
             raise ConvergenceError(
                 f"grid with n_points={grid.n_points} resolved only "
-                f"{len(pairs)} of {count} levels"
+                f"{len(pairs)} of {count} levels; use more points "
+                f"(--grid-points) or fewer levels (--levels)"
             )
         per_level.append([p.energy for p in pairs])
     energies = np.array(per_level)  # shape (n_grids, count)

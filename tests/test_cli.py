@@ -141,8 +141,13 @@ def test_verify_r_max_sets_the_block_grid(capsys):
 @pytest.mark.parametrize("argv,tail", [
     (["verify", "--D", "3", "--r-max", "30"],
      "FAILED: D3:k1:spectral_pairing_max_gap\n"),
-    (["convergence", "--D", "3", "--levels", "6", "--r-max", "30"],
-     "error: grid with n_points=200 resolved only 3 of 6 levels\n"),
+    # An explicit id keeps the case's name as its message grows.
+    pytest.param(["convergence", "--D", "3", "--levels", "6", "--r-max", "30"],
+                 "error: grid with n_points=200 resolved only 3 of 6 levels; "
+                 "use more points (--grid-points) or fewer levels "
+                 "(--levels)\n",
+                 id="argv1-error: grid with n_points=200 resolved only 3 of 6 "
+                    "levels\n"),
 ])
 def test_library_warnings_become_notices(capsys, argv, tail):
     # notice lines follow the command's own stderr, with no raw warning text.
@@ -172,6 +177,28 @@ def test_short_pairing_box_is_named(capsys, D, r_max, box, failed):
                           f"{box}, the box the top pair's tail needs; pass "
                           f"a larger --r-max\n")
     assert run(capsys, ["verify", "--D", D])[::2] == (0, "")
+
+
+@pytest.mark.parametrize("r_max", ["1e-9", "2e-06"])
+@pytest.mark.parametrize("command", ["spectrum", "convergence", "verify"])
+def test_r_max_inside_the_wall_names_the_flag(capsys, command, r_max):
+    # The inner wall at D = 3, Z alpha = 0.5, kappa = 1 is 1e-6 u = 2e-6;
+    # an outer radius at or below it names --r-max and the wall.
+    rc, out, err = run(capsys, [command, "--D", "3", "--r-max", r_max])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: r_max = {float(r_max)!r} is not above the inner "
+                   f"wall r_min = 2e-06; use a larger r_max (--r-max)\n")
+
+
+def test_unresolved_convergence_grid_names_the_flags(capsys):
+    rc, out, err = run(capsys, ["convergence", "--D", "3",
+                                "--grid-points", "8,16"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: grid with n_points=8 resolved only 1 of 2 levels; "
+                   "use more points (--grid-points) or fewer levels "
+                   "(--levels)\n"
+                   "notice: only 1 of 2 requested levels resolvable on this "
+                   "grid\n")
 
 
 def test_verify_clifford_only_range(capsys):

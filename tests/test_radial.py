@@ -91,6 +91,13 @@ def test_default_grid_wall_underflow_is_typed():
         default_grid(p, kappa_of(p, 0, 1))
 
 
+def test_default_grid_r_max_inside_the_wall_is_typed():
+    # The wall is 1e-6 u = 2e-6 here; make_grid's ValueError names no flag.
+    for r_max in (1e-9, 2e-6):
+        with pytest.raises(GridError, match=r"use a larger r_max \(--r-max\)"):
+            default_grid(P3, SECTOR_P, 100, r_max=r_max)
+
+
 def test_default_grid_scales_with_sector():
     g = default_grid(P3, SECTOR_P, n_points=100)
     unit = SECTOR_P.abs_kappa / (P3.z_alpha * P3.m)
@@ -550,10 +557,12 @@ def _sector_domain():
     return workloads.sector_domain()
 
 
-# Tier-1 runs n = 150; SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800
-# and 3200, where most levels come from the Rayleigh-quotient jump.
+# Tier-1 runs n = 150 (and the near-critical walls at 150 and 800);
+# SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800 and 3200 to both, where
+# every level alone in its node jumps.
 WINDOW_POINTS = (40, 150, 800, 3200) if os.environ.get("SUSYH_BISECTION_SWEEP") \
     else (150,)
+NEAR_CRITICAL_POINTS = sorted({150, 800, *WINDOW_POINTS})
 
 
 def _whole_window(d, e, m):
@@ -576,21 +585,25 @@ def _record_bisections(patch):
 
 
 def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
-    # With replayed set, a count below the window size must not bisect the
-    # whole window at full precision (every node was found again), nor any
-    # level past the count (nodes that mix in unwanted levels are split).
+    # With replayed set, no count bisects the whole window at full precision
+    # (every node was found again), and no full-precision pass holds more
+    # than one level: a node of several levels is split until each is alone
+    # or its node has converged, and a jump's narrow node holds its level or
+    # none.  Nor is any level past the count bisected.
     ref = _whole_window(d, e, m)
     whole = (*radial._window_bounds(m), radial._FULL_PRECISION)
-    for count in (1, 2, 3, 4, ref.size + 2):
+    for count in (1, 2, 3, 4, 9, ref.size + 2):
         with monkeypatch.context() as patch:
             passes = _record_bisections(patch)
             size, values = radial._window_levels(d, e, m, count)
         assert size == ref.size
         assert np.array_equal(values, ref[:count])
-        assert (whole in passes) == (count >= size or not replayed)
-        if replayed and count < size:
-            assert sum(got[0] for (_, _, tol), got in passes.items()
-                       if tol == radial._FULL_PRECISION) <= count
+        assert (whole in passes) == (not replayed)
+        if replayed:
+            held = [got[0] for (_, _, tol), got in passes.items()
+                    if tol == radial._FULL_PRECISION]
+            assert max(held, default=0) <= 1
+            assert sum(held) <= count
 
 
 @pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
@@ -611,7 +624,7 @@ def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
     # and, at Z alpha = 0.4999 and n = 800, to 0.05 m: coarse nodes there
     # have already converged at full precision.
     p = PhysParams(D=2, z_alpha=z_alpha)
-    for sign, n in itertools.product((1, -1), (150, 800)):
+    for sign, n in itertools.product((1, -1), NEAR_CRITICAL_POINTS):
         sector = kappa_of(p, 0, sign)
         grid = _walled_grid(p, sector, wall, n)
         _assert_window_levels_bitwise(
@@ -621,7 +634,8 @@ def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
 def test_window_levels_fall_back_when_a_node_is_lost(monkeypatch):
     # A bisection that does not stop in the replayed nodes (another LAPACK)
     # gets the whole-window pass instead.
-    monkeypatch.setattr(radial, "_node_of", lambda v, a, b, tol, pivmin:
+    monkeypatch.setattr(radial, "_node_of",
+                        lambda lo, hi, a, b, tol, pivmin:
                         (a, np.nextafter(b, a)))
     grid = default_grid(P3, SECTOR_P, n_points=150)
     _assert_window_levels_bitwise(
@@ -630,24 +644,27 @@ def test_window_levels_fall_back_when_a_node_is_lost(monkeypatch):
 
 
 def test_window_levels_jump_past_the_coarse_nodes(monkeypatch):
-    # At n = 3000 the coarse nodes are 7.8e-3 m wide.  The two lowest
-    # levels sit alone in theirs; the third shares one with the fourth,
-    # which a count of 3 splits further (a count of 4 bisects it whole).
-    # Each level alone in a node gets its full-precision bisection from
-    # the Rayleigh-quotient jump, over a node under 1e-9 m wide.
-    grid = default_grid(P3, SECTOR_P, n_points=3000)
-    d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
-    ref = _whole_window(d, e, P3.m)
-    for count in (1, 2, 3):
-        with monkeypatch.context() as patch:
-            passes = _record_bisections(patch)
-            size, values = radial._window_levels(d, e, P3.m, count)
-        assert size == ref.size > count
-        assert np.array_equal(values, ref[:count])
-        full = [(hi - lo, got[0]) for (lo, hi, tol), got in passes.items()
-                if tol == radial._FULL_PRECISION]
-        assert len(full) == count
-        assert all(width < 1e-9 * P3.m and k == 1 for width, k in full)
+    # At n = 3000 the coarse nodes are 7.8e-3 m wide.  For kappa = 1 the two
+    # lowest levels sit alone in theirs and the third shares one with the
+    # fourth; for kappa = -1 two wanted levels share one.  A shared node is
+    # split until each level is alone, whether or not its other levels are
+    # wanted, and each level alone in a node gets its full-precision
+    # bisection from the Rayleigh-quotient jump, over a node under 1e-9 m
+    # wide.
+    for sector, counts in ((SECTOR_P, (1, 2, 3, 4)), (SECTOR_M, (3, 4))):
+        grid = default_grid(P3, sector, n_points=3000)
+        d, e = radial._sector_bands(P3, sector, grid, STANDARD)
+        ref = _whole_window(d, e, P3.m)
+        for count in counts:
+            with monkeypatch.context() as patch:
+                passes = _record_bisections(patch)
+                size, values = radial._window_levels(d, e, P3.m, count)
+            assert size == ref.size > count
+            assert np.array_equal(values, ref[:count])
+            full = [(hi - lo, got[0]) for (lo, hi, tol), got in passes.items()
+                    if tol == radial._FULL_PRECISION]
+            assert len(full) == count
+            assert all(width < 1e-9 * P3.m and k == 1 for width, k in full)
 
 
 def _misplaced_quotient(where):
@@ -659,7 +676,10 @@ def _misplaced_quotient(where):
             return b + (b - a), 0.0
         if where == "below":
             return a - (b - a), 0.0
-        theta, r = original(d, e, a, b)
+        got = original(d, e, a, b)
+        if got is None:
+            return None
+        theta, r = got
         ulps = 4096 if where == "ulps above" else -4096
         return theta + ulps * np.spacing(theta), r
 
@@ -686,6 +706,23 @@ def test_window_levels_fall_back_when_the_jump_misses(monkeypatch, where):
     monkeypatch.setattr(radial, "_jump", jump)
     _assert_window_levels_bitwise(monkeypatch, d, e, P3.m)
     assert missed and all(missed)
+
+
+def test_jump_declines_a_converged_node():
+    # A pivot floor wider than theta +- delta ends the descent in a node that
+    # has converged.  stebz would split that node once more, to a float
+    # other than the midpoint a whole-window pass returns, so the jump
+    # declines it.  (The floor is set by hand: the walls tried, down to the
+    # overflow boundary, leave residuals that span the whole node.)
+    grid = default_grid(P3, SECTOR_P, n_points=150)
+    d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
+    lo, hi = radial._window_bounds(P3.m)
+    tol, pivmin = radial._COARSE_TOL * P3.m, 1e-9 * P3.m
+    v = radial._bisect(d, e, lo, hi, tol)[1][0]
+    na, nb = radial._node_of(v, v, lo, hi, tol, pivmin)
+    _, r = radial._rayleigh(d, e, na, nb)
+    assert r < pivmin
+    assert radial._jump(d, e, na, nb, pivmin) is None
 
 
 def test_window_solve_leaves_the_bands_unchanged():
