@@ -181,7 +181,8 @@ def kernel_wavefunction(
     if tail > MAX_TRUNCATION:
         raise NormalizationError(
             f"truncated weight {tail:.3e} exceeds {MAX_TRUNCATION:.3e}; "
-            "widen [r_min, r_max]"
+            f"widen [r_min, r_max] (r_max = {grid.r_max:.6g}): use a larger "
+            f"r_max (verify --r-max) or a smaller |kappa| (--abs-kappa)"
         )
     F = x_f**s * np.exp(-x_f)
     G = ((kappa - s) / za) * x_g**s * np.exp(-x_g)

@@ -17,7 +17,9 @@ components are interleaved by position, which is also the fast eigensolver
 path.  The grid is uniform in t = ln r, and the operator is assembled for
 the transformed fields e^{t/2} F(e^t), which is a unitary change, and
 eigenvectors are mapped back to physical samples.  Walls are Dirichlet: the
-component values just outside [r_min, r_max] are dropped.
+component values just outside [r_min, r_max] are dropped.  _sector_vectors,
+the one source of every sector operator's entries, checks there once that
+the inner wall's couplings do not square past the largest double.
 
 Bound levels are the eigenvalues in the window (0, m), found by LAPACK
 bisection (stebz) and inverse iteration (stein) on those bands.  Only the
@@ -136,10 +138,6 @@ def _cross_vectors(grid: RadialGrid, kappa: float) -> tuple:
     return lo, up
 
 
-def _diag_potential(params: PhysParams, r: np.ndarray) -> np.ndarray:
-    return -params.z_alpha / r
-
-
 def build_radial_hamiltonian(
     params: PhysParams,
     sector: KappaSector,
@@ -153,15 +151,11 @@ def build_radial_hamiltonian(
     of opposite-kappa sectors share one cross block exactly (the structure
     the sector-swap operator requires).  The operator is stored as the CSR
     of _sector_csr, which is exactly symmetric; no dense matrix is built.
-    Raises GridError, as solve_bound_levels does, when the off-diagonal is
-    too large for the eigensolver (near-critical walls).
+    Raises GridError, as every assembly from _sector_vectors does, when the
+    off-diagonal squares past the largest double (near-critical walls).
     """
-    csr = _sector_csr(params, sector, grid, layout)
-    n = grid.n_points
-    # The F rows' entries in G columns are the tridiagonal's off-diagonal.
-    top = csr.indptr[n]
-    _check_offdiagonal(csr.data[:top][csr.indices[:top] >= n], grid)
-    return RadialOperator(params=params, sector=sector, grid=grid, csr=csr,
+    return RadialOperator(params=params, sector=sector, grid=grid,
+                          csr=_sector_csr(params, sector, grid, layout),
                           layout=layout)
 
 
@@ -184,35 +178,41 @@ def _sector_vectors(
     grid: RadialGrid,
     layout: str,
 ) -> tuple:
-    """Nonzero entries of the sector Hamiltonian as vectors.
+    """Nonzero entries of the sector Hamiltonian as vectors, the one source
+    of the solver's bands, the sector CSR and the primary A assembly.
 
     Returns (d_f, d_g, e_same, e_next): the F and G diagonals, the coupling
     of F and G at the same index, and the coupling across one index step
-    (F_j to G_{j+1} for STANDARD, G_j to F_{j+1} for SWAPPED).
+    (F_j to G_{j+1} for STANDARD, G_j to F_{j+1} for SWAPPED).  Raises
+    GridError when the couplings fail _check_offdiagonal, so every operator
+    built from them refuses the same walls.
     """
-    m = params.m
     r_f, r_g = _layout_nodes(grid, layout)
-    d_f = m + _diag_potential(params, r_f)
-    d_g = -m + _diag_potential(params, r_g)
     if layout == STANDARD:
         lo, up = _cross_vectors(grid, sector.kappa)
-        return d_f, d_g, lo, up[:-1]
-    lo, up = _cross_vectors(grid, -sector.kappa)
-    return d_f, d_g, -lo, -up[:-1]
+        e_same, e_next = lo, up[:-1]
+    else:
+        lo, up = _cross_vectors(grid, -sector.kappa)
+        e_same, e_next = -lo, -up[:-1]
+    _check_offdiagonal(grid, e_same, e_next)
+    m, za = params.m, params.z_alpha
+    return m - za / r_f, -m - za / r_g, e_same, e_next
 
 
-def _check_offdiagonal(e: np.ndarray, grid: RadialGrid) -> None:
-    """Bisection (stebz) squares the off-diagonal; once max |e|^2 overflows
-    to inf it fails with LAPACK info=1.  Measured on the sector bands, every
-    max |e| up to sqrt(largest double) = 1.34e154 solves and every larger one
-    fails, so this is the boundary.  The largest entries sit at the inner
-    wall, where they scale like 1 / (step * r_min)."""
-    e_max = float(np.abs(e).max(initial=0.0))
+def _check_offdiagonal(grid: RadialGrid, *couplings: np.ndarray) -> None:
+    """GridError once max |e| over the couplings squares past the largest
+    double.  Bisection (stebz) squares the off-diagonal and fails there with
+    LAPACK info=1: on the sector bands every max |e| up to 1.34e154 solves
+    and every larger one fails.  Past it the products overflow too (kernel
+    residuals of 4e141 at D = 2, Z alpha = 0.4999).  The largest entries sit
+    at the inner wall, where they scale like 1 / (step * r_min)."""
+    e_max = max(float(np.abs(e).max(initial=0.0)) for e in couplings)
     if not math.isfinite(e_max * e_max):
         raise GridError(
-            f"tridiagonal off-diagonal max |e| = {e_max:.3g} near the inner "
-            f"wall r_min = {grid.r_min:.3g} squares past the largest double, "
-            f"which bisection cannot handle; use a smaller z_alpha (--zalpha)"
+            f"sector off-diagonal max |e| = {e_max:.3g} near the inner wall "
+            f"r_min = {grid.r_min:.3g} squares past the largest double, "
+            f"which the eigensolver and the operator products cannot "
+            f"handle; use a smaller z_alpha (--zalpha)"
         )
 
 
@@ -224,23 +224,17 @@ def _sector_bands(
 ) -> tuple:
     """Tridiagonal bands of the sector Hamiltonian in position order, built
     without the dense matrix: the same floats as the matrix of
-    build_radial_hamiltonian, in O(n) memory.
+    build_radial_hamiltonian, in O(n) memory, checked by _sector_vectors.
     """
     n = grid.n_points
     d_f, d_g, e_same, e_next = _sector_vectors(params, sector, grid, layout)
     d = np.empty(2 * n)
     e = np.empty(2 * n - 1)
-    if layout == STANDARD:
-        # Position order G_1, F_1, G_2, F_2, ...
-        d[0::2] = d_g
-        d[1::2] = d_f
-    else:
-        # Position order F_1, G_1, F_2, G_2, ...
-        d[0::2] = d_f
-        d[1::2] = d_g
+    # Position order puts the nodes_small component first: G_1, F_1, G_2,
+    # ... for STANDARD and F_1, G_1, F_2, ... for SWAPPED.
+    d[0::2], d[1::2] = (d_g, d_f) if layout == STANDARD else (d_f, d_g)
     e[0::2] = e_same
     e[1::2] = e_next
-    _check_offdiagonal(e, grid)
     return d, e
 
 
@@ -687,14 +681,15 @@ def solve_bound_levels(
                     *fine, max(lo, val - STABILITY_TOL * m),
                     min(hi, val + STABILITY_TOL * m)):
                 kept.append((val, f, g))
+    # At large l the default box is too short for the window's levels.
+    hint = "; use a larger r_max (--r-max) or more points (--grid-points)"
     if not passed_filter:
         raise SpuriousSpectrumError(
-            f"all {size} candidates rejected by the alternation filter"
+            f"all {size} candidates rejected by the alternation filter{hint}"
         )
     if not kept:
         raise SpuriousSpectrumError(
-            "no candidate persisted under grid doubling"
-        )
+            f"no candidate persisted under grid doubling{hint}")
     if len(kept) < count:
         warnings.warn(
             f"only {len(kept)} of {count} requested levels resolvable on this grid",

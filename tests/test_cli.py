@@ -201,6 +201,47 @@ def test_unresolved_convergence_grid_names_the_flags(capsys):
                    "grid\n")
 
 
+@pytest.mark.parametrize("argv,size", [
+    (["spectrum", "--D", "3", "--l", "1000"], 13),
+    (["convergence", "--D", "3", "--l", "200"], 10),
+])
+def test_rejected_window_names_the_flags(capsys, argv, size):
+    # At large l the default 60 u box is too short for the window's levels,
+    # and every candidate fails the alternation filter.
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: all {size} candidates rejected by the alternation "
+                   f"filter; use a larger r_max (--r-max) or more points "
+                   f"(--grid-points)\n")
+
+
+def test_large_l_spectrum_resolves_on_a_wider_box(capsys):
+    rc, out, err = run(capsys, ["spectrum", "--D", "3", "--l", "1000",
+                                "--r-max", "1e7", "--format", "json"])
+    assert (rc, err) == (0, "")
+    level = json.loads(out)["rows"][0]
+    assert level["level_index"] == 0 and level["abs_diff"] < 3e-8
+
+
+@pytest.mark.parametrize("argv,r_max", [
+    (["verify", "--D", "3", "--abs-kappa", "60"], "7200"),
+    (["kernel", "--D", "3", "--abs-kappa", "40"], "4800"),
+])
+def test_truncated_zero_mode_names_the_flags(capsys, argv, r_max):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: truncated weight ")
+    assert err.endswith(f"; widen [r_min, r_max] (r_max = {r_max}): use a "
+                        f"larger r_max (verify --r-max) or a smaller |kappa| "
+                        f"(--abs-kappa)\n")
+
+
+def test_wider_box_clears_the_zero_mode_truncation(capsys):
+    rc, _, err = run(capsys, ["verify", "--D", "3", "--abs-kappa", "60",
+                              "--r-max", "30000"])
+    assert "truncated weight" not in err
+
+
 def test_verify_clifford_only_range(capsys):
     rc, out, _ = run(capsys, ["verify", "--clifford-only", "--D", "2:6",
                               "--format", "json"])
@@ -463,6 +504,12 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     # An empty bound window is an error, not a header-only table.
     (["spectrum", "--D", "3", "--zalpha", "1e-6"], "larger --zalpha"),
     (["spectrum", "--D", "3", "--r-max", "1e-3"], "larger --zalpha or --r-max"),
+    # kernel's A_mp and Rayleigh quotient, which need no bisection, run the
+    # same overflow guard as verify's block.
+    (["kernel", "--D", "2", "--zalpha", "0.4998"],
+     "use a smaller z_alpha (--zalpha)"),
+    (["kernel", "--D", "2", "--zalpha", "0.4999"],
+     "use a smaller z_alpha (--zalpha)"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)
@@ -480,6 +527,9 @@ def test_usage_errors(capsys, argv, needle):
      "FAILED: rq_rel_error 4.865e-04 > 1e-05"),
     (["kernel", "--D", "2", "--zalpha", "0.49"],
      "FAILED: fitted order 1.860 < 1.9"),
+    # The last coupling whose default wall passes the overflow check.
+    (["kernel", "--D", "2", "--zalpha", "0.4996"],
+     "FAILED: fitted order 1.212 < 1.9"),
 ])
 def test_small_s_blocks_get_a_verdict(capsys, argv, failed):
     # s = 0.141 and 0.0995: the wall cusp dominates every residual at these

@@ -174,8 +174,8 @@ def _dense_hamiltonian(params, sector, grid, layout):
         cross = -_cross_block(grid, -sector.kappa).T
     mat = np.zeros((2 * n, 2 * n))
     idx = np.arange(n)
-    mat[idx, idx] = params.m + radial._diag_potential(params, r_f)
-    mat[n + idx, n + idx] = -params.m + radial._diag_potential(params, r_g)
+    mat[idx, idx] = params.m - params.z_alpha / r_f
+    mat[n + idx, n + idx] = -params.m - params.z_alpha / r_g
     mat[:n, n:] = cross
     mat[n:, :n] = cross.T
     return mat
@@ -545,6 +545,16 @@ def test_tiny_stability_tol_rejects_everything(monkeypatch, tol):
             solve(P3, SECTOR_P, grid, layout=STANDARD, count=3)
 
 
+def test_unpersisted_levels_name_the_grid_flags(monkeypatch):
+    grid = default_grid(P3, SECTOR_P, n_points=200)
+    monkeypatch.setattr(radial, "STABILITY_TOL", 1e-300)
+    with pytest.raises(SpuriousSpectrumError,
+                       match=r"^no candidate persisted under grid doubling; "
+                       r"use a larger r_max \(--r-max\) or more points "
+                       r"\(--grid-points\)$"):
+        solve_bound_levels(P3, SECTOR_P, grid)
+
+
 # --- _window_levels: bitwise the values of whole-window bisection. ---
 
 def _sector_domain():
@@ -818,10 +828,10 @@ def test_block_csr_layout():
 def test_offdiagonal_overflow_boundary_is_typed():
     grid = default_grid(P3, SECTOR_P, n_points=20)
     edge = math.sqrt(np.finfo(np.float64).max)
-    radial._check_offdiagonal(np.array([1.0, -edge]), grid)
+    radial._check_offdiagonal(grid, np.array([1.0, -edge]))
     with pytest.raises(GridError, match="cannot handle; " + ZALPHA_HINT):
-        radial._check_offdiagonal(np.array([1.0, -np.nextafter(edge, np.inf)]),
-                                  grid)
+        radial._check_offdiagonal(grid, np.array([1.0]),
+                                  np.array([-np.nextafter(edge, np.inf)]))
 
 
 def test_near_critical_wall_overflow_is_typed():
@@ -862,6 +872,28 @@ def test_hamiltonian_assembly_runs_the_overflow_guard(layout):
         else:
             build_radial_hamiltonian(p, sector, grid, layout=layout)
             assert wall == 1e-152
+
+
+@pytest.mark.parametrize("n_points", [800, 8000])
+def test_every_sector_assembly_runs_the_overflow_guard(n_points):
+    # D = 2, Z alpha = 0.4999 with the wall at 1e-153 u: max |e| is 1.4e153
+    # at n = 800, which bisects, and 2.1e154 at n = 8000, past the boundary.
+    # The bands, the sector CSR and the primary A_mp all take their entries
+    # from _sector_vectors, so they refuse the same grids.
+    p = PhysParams(D=2, z_alpha=0.4999)
+    sector = kappa_of(p, 0, 1)
+    grid = _walled_grid(p, sector, 1e-153, n_points)
+    assemblies = (
+        lambda: radial._sector_bands(p, sector, grid, STANDARD),
+        lambda: radial._sector_csr(p, sector, grid),
+        lambda: susy._assemble_a_mp(p, sector.abs_kappa, grid, susy.ETA),
+    )
+    for assemble in assemblies:
+        if n_points == 800:
+            assemble()
+        else:
+            with pytest.raises(GridError, match="cannot handle; " + ZALPHA_HINT):
+                assemble()
 
 
 def test_non_finite_eigenvectors_are_typed():
