@@ -23,17 +23,16 @@ the inner wall's couplings do not square past the largest double.
 
 Bound levels are the eigenvalues in the window (0, m), found by LAPACK
 bisection (stebz) and inverse iteration (stein) on those bands.  Only the
-levels a caller uses are bisected to full precision: a coarse pass over the
-window finds the interval of the bisection tree that holds each level, an
-interval that holds several levels is split further until each is alone,
-and bisection resumed from an interval ends on the same float as a
-bisection of the whole window (_window_levels).  Each level alone in its
-interval is first located by Rayleigh-quotient iteration, which costs a
-few tridiagonal solves, and bisection resumes from the deepest interval of
-the tree that holds the quotient give or take its residual, once a Sturm
-count finds the level there.  The computed Sturm count is monotone in the
-shift (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so that interval
-lies on the whole-window bisection's path and gives the same float.
+levels a caller uses are bisected to full precision, each from its own node
+of the bisection tree, which ends on the same float as a bisection of the
+whole window (_window_levels).  Each wanted level's closed-form energy
+(analytic.energy) seeds Rayleigh-quotient iteration, a few tridiagonal
+solves that place the level within its Kato-Temple bound; halving the
+window toward that bound gives its node, and Sturm counts confirm that each
+node holds one level and together the lowest ones.  The computed Sturm
+count is monotone in the shift (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3,
+1995), so each node lies on the whole-window bisection's path.  Where a
+check fails, a coarse pass over the window finds the nodes instead.
 """
 
 from __future__ import annotations
@@ -402,8 +401,8 @@ _RESPLIT = 32
 # dstebz's relative tolerance: twice its ulp, dlamch('P') = 2^-52.
 _RELTOL = 2.0 * np.finfo(np.float64).eps
 
-# Rayleigh-quotient steps at most before a one-level node is bisected, and
-# the ulps of |theta| added to a residual for the roundoff in computing it.
+# Rayleigh-quotient steps at most, and the ulps of |theta| added to a
+# distance bound for the roundoff in computing the quotient.
 _RQI_STEPS = 5
 _RQI_ULPS = 16.0
 
@@ -463,63 +462,73 @@ def _node_of(lo: float, hi: float, a: float, b: float, tol: float,
     node where bisection to tolerance tol stops, or the deepest node that
     holds [lo, hi] whole if a midpoint falls inside it first.  With lo = hi
     = v, the node that bisection ends in when it returns the value v."""
+    wide = max(tol, pivmin, _RELTOL * max(abs(a), abs(b)))  # stops only below
     while True:
         c = 0.5 * (a + b)
         if lo <= c < hi:
             return a, b
         a, b = (c, b) if lo > c else (a, c)
-        if _converged(a, b, tol, pivmin):
+        if b - a < wide and _converged(a, b, tol, pivmin):
             return a, b
 
 
-def _rayleigh(d: np.ndarray, e: np.ndarray, a: float, b: float):
-    """Rayleigh-quotient iteration on the bands from the midpoint of (a, b]:
-    (theta, r), the Rayleigh quotient of the unit iterate x with the least
-    residual r = ||T x - theta x||, so that an eigenvalue lies within r of
-    theta; or None when an iterate leaves (a, b] or a shifted solve is
-    singular.  Stops once r stops halving, after _RQI_STEPS steps at most.
+def _rayleigh(d: np.ndarray, e: np.ndarray, a: float, b: float,
+              theta: float):
+    """Rayleigh-quotient iteration on the bands from the shift theta, for
+    the one eigenvalue taken to lie in (a, b]: (theta, delta), the Rayleigh
+    quotient of the unit iterate x and its Kato-Temple distance bound delta
+    = r^2 / gap + _RQI_ULPS eps |theta|, with r = ||T x - theta x|| and gap
+    the distance from theta to the nearer end of (a, b].  Stops once r^2 /
+    gap is below the ulp term.  None when an iterate leaves (a, b], a
+    shifted solve is singular, or r cannot get there: r stops halving, or
+    the roundoff of T x is already too large (deep walls), or _RQI_STEPS
+    pass.
     """
-    theta = 0.5 * (a + b)
+    eps = np.finfo(np.float64).eps
     x = np.ones(d.size)
-    best = None
+    r_last = math.inf
     for _ in range(_RQI_STEPS):
         # gtsv factors its bands in place, so it gets copies of e.
         *_, x, info = _GTSV(e.copy(), d - theta, e.copy(), x,
                             True, True, True, True)
         if info:
             return None
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(x @ x)
         tx = d * x
-        tx[:-1] += e * x[1:]
-        tx[1:] += e * x[:-1]
+        up, down = e * x[1:], e * x[:-1]
+        if r_last == math.inf:
+            # T x's roundoff, far above r's target near a deep wall.
+            r_min = eps * float(np.abs(up).max(initial=0.0))
+        tx[:-1] += up
+        tx[1:] += down
         theta = float(x @ tx)
         if not a < theta <= b:
             return None
-        r = float(np.linalg.norm(tx - theta * x))
-        if best is not None and r > 0.5 * best[1]:
-            return min(best, (theta, r), key=lambda t: t[1])
-        best = theta, r
-    return best
+        tx -= theta * x
+        r = math.sqrt(tx @ tx)
+        floor, gap = _RQI_ULPS * eps * abs(theta), min(theta - a, b - theta)
+        if r * r <= floor * gap:
+            return theta, floor + (r * r / gap if r else 0.0)
+        if r > 0.5 * r_last or r_min * r_min > floor * gap:
+            return None
+        r_last = r
+    return None
 
 
-def _jump(d: np.ndarray, e: np.ndarray, a: float, b: float,
-          pivmin: float):
-    """(1, the one eigenvalue of the bisection node (a, b]) at full
-    precision, bisected from the deepest node below (a, b] that holds the
-    Rayleigh quotient give or take its residual; None when that node does
-    not hold exactly one eigenvalue, or has converged (stebz would split it
-    once more, to another value).  See _window_levels."""
-    got = _rayleigh(d, e, a, b)
-    if got is None:
-        return None
-    theta, r = got
-    delta = r + _RQI_ULPS * np.finfo(np.float64).eps * abs(theta)
-    a, b = _node_of(theta - delta, theta + delta, a, b, _FULL_PRECISION,
-                    pivmin)
+def _one_level(d: np.ndarray, e: np.ndarray, a: float, b: float,
+               pivmin: float):
+    """The one eigenvalue of the bisection node (a, b] at full precision,
+    the midpoint when (a, b] has converged (the whole-window pass stops
+    there; stebz on (a, b] would split it once more); None unless (a, b]
+    holds exactly one eigenvalue, or when stebz's node is not found again.
+    See _window_levels."""
     if _converged(a, b, _FULL_PRECISION, pivmin):
+        return 0.5 * (a + b) if _count_in(d, e, a, b) == 1 else None
+    size, w = _bisect(d, e, a, b, _FULL_PRECISION)
+    if size != 1:
         return None
-    got = _bisect(d, e, a, b, _FULL_PRECISION)
-    return got if got[0] == 1 else None
+    na, nb = _node_of(w[0], w[0], a, b, _FULL_PRECISION, pivmin)
+    return w[0] if 0.5 * (na + nb) == w[0] else None
 
 
 def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
@@ -542,54 +551,85 @@ def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
             got = _node_levels(d, e, na, nb, count - len(levels),
                                tol / _RESPLIT, pivmin)
         else:
-            got = _jump(d, e, na, nb, pivmin)
-            if got is None:
-                got = _bisect(d, e, na, nb, _FULL_PRECISION)
+            # Jump from the midpoint v to the deepest node below (na, nb]
+            # that holds the Rayleigh quotient give or take its bound.
+            got = _rayleigh(d, e, na, nb, v)
+            level = got and _one_level(d, e, *_node_of(
+                got[0] - got[1], sum(got), na, nb, _FULL_PRECISION, pivmin),
+                pivmin)
+            got = ((1, [level]) if level is not None
+                   else _bisect(d, e, na, nb, _FULL_PRECISION))
         if got is None or got[0] != k:
             return None
         levels.extend(got[1])
     return size, np.array(levels[:count])
 
 
-def _window_levels(d: np.ndarray, e: np.ndarray, m: float,
-                   count: int) -> tuple:
+def _seeded_levels(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
+                   count: int, seed, pivmin: float):
+    """(how many eigenvalues lie in (lo, hi], the lowest count of them at
+    full precision), each found from its seed(k); None when a check fails.
+    See _window_levels."""
+    size = _count_in(d, e, lo, hi)
+    k = min(count, size)
+    ends = [lo, *(seed(j) for j in range(k + 1))]
+    nodes = []
+    # Top level first: where seeds stray, the higher levels stray most, and
+    # the count up to the top node then ends the pass before any bisection.
+    for j in reversed(range(k)):
+        got = _rayleigh(d, e, ends[j], min(ends[j + 2], hi), ends[j + 1])
+        if got is None:
+            return None
+        a, b = _node_of(got[0] - got[1], sum(got), lo, hi, _FULL_PRECISION,
+                        pivmin)
+        # Below the node above, or for the top node, the k lowest levels.
+        if b > nodes[-1][0] if nodes else _count_in(d, e, lo, b) != k:
+            return None
+        nodes.append((a, b))
+    levels = [_one_level(d, e, a, b, pivmin) for a, b in reversed(nodes)]
+    return None if None in levels else (size, np.array(levels))
+
+
+def _window_levels(d: np.ndarray, e: np.ndarray, m: float, count: int,
+                   seed=None) -> tuple:
     """(how many eigenvalues lie in the bound window, the lowest count of
     them ascending), bitwise the values of one full-precision stebz pass
-    over the whole window.
+    over the whole window; seed(k), when given, guesses level k.
 
     Bisection as dstebz runs it (Barth, Martin & Wilkinson 1967, in LAPACK's
     dlaebz) halves intervals at 0.5 * (a + b), starting from (lo, hi], and
     stops an interval once b - a < max(tol, pivmin, 2 eps max(|a|, |b|)).
     Each value it returns is the midpoint of the interval (node) it stops
     in, and that node, its Sturm counts and everything bisected below it
-    are fixed by the node alone.  So a coarse pass finds the window size
-    and one node per cluster of levels, and only the nodes that hold one of
-    the lowest count levels are refined, each from its own (a, b], which
-    gives the whole-window pass's values.  A node that has converged at
-    full precision already gives its midpoint.  Otherwise one rule holds: a
-    node of several levels is split the same way at a tolerance _RESPLIT
-    times finer, and so on down until each level is alone (at weak
-    coupling the levels crowd below m, Z alpha = 0.1 binding by at most
-    5e-3 m), and a node of one level jumps.  If a node is not found again
-    (a LAPACK whose bisection differs), the whole window is bisected.
+    are fixed by the node alone.  The computed Sturm count N is monotone
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), so a node found by
+    halving toward a level, if it holds that level alone, lies on the
+    whole-window pass's path: bisected from its own (a, b], or taken at its
+    midpoint once converged, it gives the same float.
 
-    The jump (_jump): Rayleigh-quotient iteration from the midpoint of the
-    node (na, nb] (_rayleigh) gives theta and a residual r, so an
-    eigenvalue lies within r of theta.  The descent that finds the coarse
-    nodes (_node_of) finds the deepest node (a, b] below (na, nb] that
-    holds theta +- delta, delta = r + _RQI_ULPS eps |theta|, and (a, b] is
-    bisected at full precision.  Its result is kept only when (a, b] holds
-    exactly one eigenvalue.  The computed Sturm count N is monotone
-    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995) and (na, nb] holds
-    one level, so then N(a) = N(na) and N(b) = N(nb): every ancestor's
-    midpoint sends bisection into (a, b], and the value is the whole-window
-    pass's.  Otherwise (na, nb] is bisected from its ends.
+    Seeded: Rayleigh-quotient iteration (_rayleigh) from seed(j), kept
+    between the neighbouring seeds, places level j within its Kato-Temple
+    bound delta, and halving the window toward theta +- delta (_node_of)
+    gives its node (a, b].  The top level goes first: N(b) - N(lo) must
+    equal the number of levels wanted before anything is bisected.  The
+    nodes must be disjoint and ascending and hold one eigenvalue each
+    (_one_level); then node j holds level j.  A failed check ends the pass.
+
+    Otherwise a coarse pass finds the window size and a node per cluster of
+    levels, and only the nodes of wanted levels are refined.  A node of
+    several levels is split at a tolerance _RESPLIT times finer until each
+    level is alone (at weak coupling the levels crowd below m, Z alpha =
+    0.1 binding by at most 5e-3 m); a node of one level jumps as above from
+    its midpoint, within its own ends, or is bisected from its ends.  If a
+    node is not found again (a LAPACK whose bisection differs), the whole
+    window is bisected.
     """
     lo, hi = _window_bounds(m)
     # dstebz's pivot floor: the underflow threshold times max(1, max e^2).
     e2_max = float(np.max(e * e, initial=0.0))
     pivmin = np.finfo(np.float64).tiny * max(1.0, e2_max)
-    got = _node_levels(d, e, lo, hi, count, _COARSE_TOL * m, pivmin)
+    got = (seed and _seeded_levels(d, e, lo, hi, count, seed, pivmin)
+           or _node_levels(d, e, lo, hi, count, _COARSE_TOL * m, pivmin))
     if got is None:
         size, values = _bisect(d, e, lo, hi, _FULL_PRECISION)
         return size, values[:count]
@@ -649,7 +689,11 @@ def solve_bound_levels(
     # raises; the result equals filtering the whole window and taking the
     # first `count`.
     want = max(count, 1)
-    size, vals = _window_levels(*bands, m, want)
+
+    def seed(k):
+        return m * analytic.energy(params, analytic.level_label(sector, k))
+
+    size, vals = _window_levels(*bands, m, want, seed)
     if size == 0:
         warnings.warn(f"no bound levels in (0, m); requested {count}",
                       TruncationWarning)
@@ -664,7 +708,7 @@ def solve_bound_levels(
         if done == vals.size:
             # Rejections used up the levels bisected so far (rare): bisect
             # the rest of the window in one pass.
-            vals = _window_levels(*bands, m, size)[1]
+            vals = _window_levels(*bands, m, size, seed)[1]
         take = min(want - len(kept), size - done)
         batch = vals[done:done + take]
         vecs = _eigenvectors(*bands, batch)

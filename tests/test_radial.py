@@ -503,14 +503,19 @@ def test_rejection_extends_past_requested_levels(monkeypatch, count):
     assert abs(got[0].energy - FIRST_EXCITED) < 1e-4
 
 
-def _reject_first_by_stability(monkeypatch):
-    # The window levels are bisected without _count_in, so its first call
-    # is the doubled grid's count around the lowest candidate, and an empty
-    # count there rejects it as unstable.
+def _reject_first_by_stability(monkeypatch, n_points):
+    # The window solve counts on the sector's own bands (2n rows); the first
+    # count on the doubled grid's bands (4n rows) is the one around the
+    # lowest candidate, and an empty count there rejects it as unstable.
     calls = itertools.count()
     original = radial._count_in
-    monkeypatch.setattr(radial, "_count_in",
-                        lambda *args: 0 if next(calls) == 0 else original(*args))
+
+    def count_in(d, e, lo, hi):
+        if d.size == 4 * n_points and next(calls) == 0:
+            return 0
+        return original(d, e, lo, hi)
+
+    monkeypatch.setattr(radial, "_count_in", count_in)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -520,7 +525,8 @@ def test_stability_rejection_extends_past_requested_levels(monkeypatch, count):
     # rejection by the alternation filter.
     grid = default_grid(P3, SECTOR_P, n_points=200)
     runs = []
-    for reject in (_reject_first_candidate, _reject_first_by_stability):
+    for reject in (_reject_first_candidate,
+                   lambda patch: _reject_first_by_stability(patch, 200)):
         with monkeypatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("error")
             reject(patch)
@@ -568,8 +574,9 @@ def _sector_domain():
 
 
 # Tier-1 runs n = 150 (and the near-critical walls at 150 and 800);
-# SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800 and 3200 to both, where
-# every level alone in its node jumps.
+# SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800 and 3200 to both.  From
+# n = 150 up the closed-form seeds give every sector's lowest three levels
+# without the coarse pass; at n = 40 they often stray past a neighbour.
 WINDOW_POINTS = (40, 150, 800, 3200) if os.environ.get("SUSYH_BISECTION_SWEEP") \
     else (150,)
 NEAR_CRITICAL_POINTS = sorted({150, 800, *WINDOW_POINTS})
@@ -579,6 +586,15 @@ def _whole_window(d, e, m):
     return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                             select_range=radial._window_bounds(m),
                             lapack_driver="stebz", tol=radial._FULL_PRECISION)
+
+
+def _seed_of(p, sector):
+    """The seeds solve_bound_levels passes: level k's closed-form energy."""
+    return lambda k: p.m * analytic.energy(p, analytic.level_label(sector, k))
+
+
+def _coarse_pass(m):
+    return (*radial._window_bounds(m), radial._COARSE_TOL * m)
 
 
 def _record_bisections(patch):
@@ -594,18 +610,23 @@ def _record_bisections(patch):
     return passes
 
 
-def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
-    # With replayed set, no count bisects the whole window at full precision
-    # (every node was found again), and no full-precision pass holds more
-    # than one level: a node of several levels is split until each is alone
-    # or its node has converged, and a jump's narrow node holds its level or
-    # none.  Nor is any level past the count bisected.
-    ref = _whole_window(d, e, m)
+def _assert_window_levels_bitwise(monkeypatch, d, e, m, seeds=(None,),
+                                  replayed=True, seeded=False,
+                                  counts=(1, 2, 3, 4, 9), ref=None):
+    # With each of the seeds (None: the coarse pass alone) and each count,
+    # and the window size + 2.  With replayed set, no count bisects the
+    # whole window at full precision (every node was found again), and no
+    # full-precision pass holds more than one level: a node of several
+    # levels is split until each is alone or its node has converged, and a
+    # jump's narrow node holds its level or none.  Nor is any level past the
+    # count bisected.  With seeded set, the seeds give the lowest three
+    # levels without the coarse pass.
+    ref = _whole_window(d, e, m) if ref is None else ref
     whole = (*radial._window_bounds(m), radial._FULL_PRECISION)
-    for count in (1, 2, 3, 4, 9, ref.size + 2):
+    for seed, count in itertools.product(seeds, (*counts, ref.size + 2)):
         with monkeypatch.context() as patch:
             passes = _record_bisections(patch)
-            size, values = radial._window_levels(d, e, m, count)
+            size, values = radial._window_levels(d, e, m, count, seed)
         assert size == ref.size
         assert np.array_equal(values, ref[:count])
         assert (whole in passes) == (not replayed)
@@ -614,17 +635,43 @@ def _assert_window_levels_bitwise(monkeypatch, d, e, m, replayed=True):
                     if tol == radial._FULL_PRECISION]
             assert max(held, default=0) <= 1
             assert sum(held) <= count
+        if seeded and seed and count <= 3:
+            assert _coarse_pass(m) not in passes
 
 
 @pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
 @pytest.mark.parametrize("n", WINDOW_POINTS)
 def test_window_levels_equal_whole_window_bisection(monkeypatch, n, layout):
+    # Both paths: the seeded pass, and the coarse nodes it falls back to
+    # (which susy's ladder columns use directly).  Count 9 and the whole
+    # window ask for levels that the box holds away from their closed
+    # forms, so the seeded pass falls back there in all but 2 of the 142
+    # sectors at n = 150: the unseeded run skips count 9.
     for D, l, sign, z_alpha in _sector_domain():
         p = PhysParams(D=D, z_alpha=z_alpha)
         sector = kappa_of(p, l, sign)
         grid = default_grid(p, sector, n_points=n)
-        _assert_window_levels_bitwise(
-            monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m)
+        bands = radial._sector_bands(p, sector, grid, layout)
+        ref = _whole_window(*bands, p.m)
+        _assert_window_levels_bitwise(monkeypatch, *bands, p.m,
+                                      counts=(1, 2, 3, 4), ref=ref)
+        _assert_window_levels_bitwise(monkeypatch, *bands, p.m,
+                                      (_seed_of(p, sector),),
+                                      seeded=n >= 150, ref=ref)
+
+
+def test_window_levels_from_seeds_at_n_40(monkeypatch):
+    # At n = 40 the seeds often stray past a neighbouring level, and the
+    # pass falls back to the coarse nodes, with the same floats.  Tier-1
+    # takes every fourth sector; the sweep runs them all.
+    for D, l, sign, z_alpha in _sector_domain()[::4]:
+        p = PhysParams(D=D, z_alpha=z_alpha)
+        sector = kappa_of(p, l, sign)
+        grid = default_grid(p, sector, n_points=40)
+        for layout in (STANDARD, SWAPPED):
+            _assert_window_levels_bitwise(
+                monkeypatch, *radial._sector_bands(p, sector, grid, layout),
+                p.m, (_seed_of(p, sector),))
 
 
 @pytest.mark.parametrize("z_alpha,wall", [(0.4996, 1e-100), (0.4999, 1e-153)])
@@ -632,66 +679,73 @@ def test_window_levels_equal_whole_window_bisection(monkeypatch, n, layout):
 def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
     # Near-wall rows raise dstebz's pivot floor tiny * max e^2 to 1e-107 m
     # and, at Z alpha = 0.4999 and n = 800, to 0.05 m: coarse nodes there
-    # have already converged at full precision.
+    # have already converged at full precision.  The seeded pass gives up
+    # here (the roundoff of T x near the wall holds the residual up).
     p = PhysParams(D=2, z_alpha=z_alpha)
     for sign, n in itertools.product((1, -1), NEAR_CRITICAL_POINTS):
         sector = kappa_of(p, 0, sign)
         grid = _walled_grid(p, sector, wall, n)
         _assert_window_levels_bitwise(
-            monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m)
+            monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m,
+            (None, _seed_of(p, sector)))
 
 
 def test_window_levels_fall_back_when_a_node_is_lost(monkeypatch):
     # A bisection that does not stop in the replayed nodes (another LAPACK)
-    # gets the whole-window pass instead.
+    # gets the whole-window pass instead, with or without seeds.
     monkeypatch.setattr(radial, "_node_of",
                         lambda lo, hi, a, b, tol, pivmin:
                         (a, np.nextafter(b, a)))
     grid = default_grid(P3, SECTOR_P, n_points=150)
     _assert_window_levels_bitwise(
         monkeypatch, *radial._sector_bands(P3, SECTOR_P, grid, STANDARD),
-        P3.m, replayed=False)
+        P3.m, (None, _seed_of(P3, SECTOR_P)), replayed=False)
 
 
 def test_window_levels_jump_past_the_coarse_nodes(monkeypatch):
     # At n = 3000 the coarse nodes are 7.8e-3 m wide.  For kappa = 1 the two
     # lowest levels sit alone in theirs and the third shares one with the
-    # fourth; for kappa = -1 two wanted levels share one.  A shared node is
-    # split until each level is alone, whether or not its other levels are
-    # wanted, and each level alone in a node gets its full-precision
-    # bisection from the Rayleigh-quotient jump, over a node under 1e-9 m
-    # wide.
+    # fourth; for kappa = -1 two wanted levels share one.  Without seeds a
+    # shared node is split until each level is alone, and each level alone
+    # in a node jumps from its midpoint to a node under 1e-9 m wide.  With
+    # seeds there is no coarse pass: each level jumps from its closed form
+    # straight to a node under 1e-12 m wide.  Either way each level gets one
+    # full-precision bisection.
+    coarse = _coarse_pass(P3.m)
     for sector, counts in ((SECTOR_P, (1, 2, 3, 4)), (SECTOR_M, (3, 4))):
         grid = default_grid(P3, sector, n_points=3000)
         d, e = radial._sector_bands(P3, sector, grid, STANDARD)
         ref = _whole_window(d, e, P3.m)
-        for count in counts:
+        for count, seed in itertools.product(counts,
+                                             (None, _seed_of(P3, sector))):
             with monkeypatch.context() as patch:
                 passes = _record_bisections(patch)
-                size, values = radial._window_levels(d, e, P3.m, count)
+                size, values = radial._window_levels(d, e, P3.m, count, seed)
             assert size == ref.size > count
             assert np.array_equal(values, ref[:count])
+            assert (coarse in passes) == (seed is None)
             full = [(hi - lo, got[0]) for (lo, hi, tol), got in passes.items()
                     if tol == radial._FULL_PRECISION]
             assert len(full) == count
-            assert all(width < 1e-9 * P3.m and k == 1 for width, k in full)
+            width = (1e-9 if seed is None else 1e-12) * P3.m
+            assert all(w < width and k == 1 for w, k in full)
 
 
 def _misplaced_quotient(where):
-    """A _rayleigh stand-in whose theta misses the node's level."""
+    """A _rayleigh stand-in whose theta misses the level it is asked for."""
     original = radial._rayleigh
 
-    def rayleigh(d, e, a, b):
+    def rayleigh(d, e, a, b, theta):
         if where == "above":
             return b + (b - a), 0.0
         if where == "below":
             return a - (b - a), 0.0
-        got = original(d, e, a, b)
+        got = original(d, e, a, b, theta)
         if got is None:
             return None
-        theta, r = got
+        theta, delta = got
         ulps = 4096 if where == "ulps above" else -4096
-        return theta + ulps * np.spacing(theta), r
+        return theta + ulps * np.spacing(theta), delta
 
     return rayleigh
 
@@ -699,53 +753,192 @@ def _misplaced_quotient(where):
 @pytest.mark.parametrize("where", ["above", "below", "ulps above",
                                    "ulps below"])
 def test_window_levels_fall_back_when_the_jump_misses(monkeypatch, where):
-    # A Rayleigh quotient outside the node, or thousands of ulps off with
-    # its residual, gives a node that does not hold the level: the count
-    # there rejects it and the coarse node is bisected instead.
+    # A Rayleigh quotient outside its interval, or thousands of ulps off with
+    # its bound, gives a node that does not hold the level: a count rejects
+    # it, the seeded pass gives up, and each coarse node is bisected from
+    # its ends instead.
     grid = default_grid(P3, SECTOR_P, n_points=150)
     d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
-    missed = []
-    original = radial._jump
+    landed = []
+    original = radial._one_level
 
-    def jump(*args):
-        got = original(*args)
-        missed.append(got is None)
-        return got
+    def one_level(*args):
+        landed.append(original(*args))
+        return landed[-1]
 
     monkeypatch.setattr(radial, "_rayleigh", _misplaced_quotient(where))
-    monkeypatch.setattr(radial, "_jump", jump)
-    _assert_window_levels_bitwise(monkeypatch, d, e, P3.m)
-    assert missed and all(missed)
+    monkeypatch.setattr(radial, "_one_level", one_level)
+    _assert_window_levels_bitwise(monkeypatch, d, e, P3.m,
+                                  (None, _seed_of(P3, SECTOR_P)))
+    assert landed and all(v is None for v in landed)
 
 
-def test_jump_declines_a_converged_node():
+def _stray(seed, how):
+    if how == "ulps above":
+        return lambda k: seed(k) + 4096 * np.spacing(seed(k))
+    if how == "ulps below":
+        return lambda k: seed(k) - 4096 * np.spacing(seed(k))
+    if how == "outside the window":
+        return lambda k: 2.0 * seed(k)
+    return lambda k: seed(k + 1)  # the next level's
+
+
+@pytest.mark.parametrize("how,seeded", [
+    ("ulps above", True), ("ulps below", True),
+    ("outside the window", False), ("the next level's", False)])
+def test_window_levels_from_stray_seeds(monkeypatch, how, seeded):
+    # A seed thousands of ulps off still starts the iteration close enough;
+    # a seed outside the window, or one for the wrong level, is caught by
+    # the interval or the counts, and the coarse pass gives the same floats.
+    grid = default_grid(P3, SECTOR_P, n_points=150)
+    d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
+    seed = _stray(_seed_of(P3, SECTOR_P), how)
+    _assert_window_levels_bitwise(monkeypatch, d, e, P3.m, (seed,),
+                                  seeded=seeded)
+    with monkeypatch.context() as patch:
+        passes = _record_bisections(patch)
+        radial._window_levels(d, e, P3.m, 3, seed)
+    assert (_coarse_pass(P3.m) in passes) == (not seeded)
+
+
+@pytest.mark.parametrize("z_alpha", [0.1, 0.2, 0.3])
+@pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
+def test_window_levels_fall_back_at_the_box_floor(monkeypatch, z_alpha,
+                                                  layout):
+    # D = 2, l = 0, kappa < 0: the 60 u box pulls level 3 away from its
+    # closed form, past the neighbouring seed, so count 4 falls back to the
+    # coarse pass, with the same floats.
+    p = PhysParams(D=2, z_alpha=z_alpha)
+    sector = kappa_of(p, 0, -1)
+    grid = default_grid(p, sector, n_points=150)
+    d, e = radial._sector_bands(p, sector, grid, layout)
+    with monkeypatch.context() as patch:
+        passes = _record_bisections(patch)
+        _, values = radial._window_levels(d, e, p.m, 4, _seed_of(p, sector))
+    assert np.array_equal(values, _whole_window(d, e, p.m)[:4])
+    assert _coarse_pass(p.m) in passes
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_no_jump_at_the_residual_floor(monkeypatch, sign):
+    # At D = 2, Z alpha = 0.49 (s = 0.099, wall 7e-31 u) the roundoff of T x
+    # near the wall holds r near 1e-2, far above what the Kato-Temple bound
+    # needs, so each iteration gives up after one solve: the seeded pass
+    # ends before any bisection, and each coarse node is bisected from its
+    # ends, once.
+    p = PhysParams(D=2, z_alpha=0.49)
+    sector = kappa_of(p, 0, sign)
+    grid = default_grid(p, sector, n_points=20000)
+    d, e = radial._sector_bands(p, sector, grid, STANDARD)
+    events = []
+    rayleigh, gtsv, bisect = radial._rayleigh, radial._GTSV, radial._bisect
+
+    def logged(name, fn):
+        def call(*args):
+            got = fn(*args)
+            events.append((name, got, args[2:]))
+            return got
+        return call
+
+    monkeypatch.setattr(radial, "_rayleigh", logged("rayleigh", rayleigh))
+    monkeypatch.setattr(radial, "_GTSV", logged("solve", gtsv))
+    monkeypatch.setattr(radial, "_bisect", logged("bisect", bisect))
+    _, values = radial._window_levels(d, e, p.m, 4, _seed_of(p, sector))
+    assert np.array_equal(values, _whole_window(d, e, p.m)[:4])
+    names = [name for name, *_ in events]
+    assert names.count("rayleigh") == names.count("solve") > 4
+    assert all(got is None for name, got, _ in events if name == "rayleigh")
+    full = [i for i, (name, _, args) in enumerate(events)
+            if name == "bisect" and args[-1] == radial._FULL_PRECISION]
+    coarse = [i for i, (name, _, args) in enumerate(events)
+              if name == "bisect" and args == _coarse_pass(p.m)]
+    assert len(full) == 4 and coarse and coarse[0] < full[0]
+
+
+def test_converged_node_gives_its_midpoint_after_one_count(monkeypatch):
     # A pivot floor wider than theta +- delta ends the descent in a node that
-    # has converged.  stebz would split that node once more, to a float
-    # other than the midpoint a whole-window pass returns, so the jump
-    # declines it.  (The floor is set by hand: the walls tried, down to the
-    # overflow boundary, leave residuals that span the whole node.)
+    # has converged.  The whole-window pass stops there, at its midpoint, so
+    # one count that finds the level alone there gives it; stebz on the node
+    # would split it once more, to another float.  (The floor is set by
+    # hand: at the walls tried, down to the overflow boundary, the
+    # iteration gives up first.)
     grid = default_grid(P3, SECTOR_P, n_points=150)
     d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
     lo, hi = radial._window_bounds(P3.m)
-    tol, pivmin = radial._COARSE_TOL * P3.m, 1e-9 * P3.m
-    v = radial._bisect(d, e, lo, hi, tol)[1][0]
-    na, nb = radial._node_of(v, v, lo, hi, tol, pivmin)
-    _, r = radial._rayleigh(d, e, na, nb)
-    assert r < pivmin
-    assert radial._jump(d, e, na, nb, pivmin) is None
+    pivmin = 1e-9 * P3.m
+    theta, delta = radial._rayleigh(d, e, lo, hi, GROUND * P3.m)
+    a, b = radial._node_of(theta - delta, theta + delta, lo, hi,
+                           radial._FULL_PRECISION, pivmin)
+    assert radial._converged(a, b, radial._FULL_PRECISION, pivmin)
+    assert a < _whole_window(d, e, P3.m)[0] <= b
+    with monkeypatch.context() as patch:
+        passes = _record_bisections(patch)
+        assert radial._one_level(d, e, a, b, pivmin) == 0.5 * (a + b)
+    assert list(passes) == [(a, b, b - a)]
+    # The converged node above it holds no level.
+    assert radial._one_level(d, e, b, 2 * b - a, pivmin) is None
+
+
+def test_level_off_the_replayed_node_is_refused(monkeypatch):
+    # The value stebz returns from a jump's node must be the midpoint of the
+    # node that the replayed halving ends in; from a LAPACK whose bisection
+    # differs it is another float, and the level is not taken.
+    grid = default_grid(P3, SECTOR_P, n_points=150)
+    d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
+    lo, hi = radial._window_bounds(P3.m)
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(e * e)))
+    theta, delta = radial._rayleigh(d, e, lo, hi, GROUND * P3.m)
+    a, b = radial._node_of(theta - delta, theta + delta, lo, hi,
+                           radial._FULL_PRECISION, pivmin)
+    assert radial._one_level(d, e, a, b, pivmin) == \
+        _whole_window(d, e, P3.m)[0]
+    bisect = radial._bisect
+
+    def shifted(*args):
+        size, w = bisect(*args)
+        return size, np.nextafter(w, 2.0)
+
+    monkeypatch.setattr(radial, "_bisect", shifted)
+    assert radial._one_level(d, e, a, b, pivmin) is None
 
 
 def test_window_solve_leaves_the_bands_unchanged():
     # The bands go on to inverse iteration after bisection; gtsv factors
     # its arguments in place, so _rayleigh must hand it copies.
     grid = default_grid(P3, SECTOR_P, n_points=400)
-    for layout in (STANDARD, SWAPPED):
+    for layout, seed in itertools.product((STANDARD, SWAPPED),
+                                          (None, _seed_of(P3, SECTOR_P))):
         d, e = radial._sector_bands(P3, SECTOR_P, grid, layout)
         d0, e0 = d.tobytes(), e.tobytes()
         for count in (1, 3, 100):
-            _, values = radial._window_levels(d, e, P3.m, count)
+            _, values = radial._window_levels(d, e, P3.m, count, seed)
             radial._eigenvectors(d, e, values)
             assert d.tobytes() == d0 and e.tobytes() == e0
+
+
+def test_all_levels_request_builds_one_seed_past_the_window(monkeypatch):
+    # bench's tracer asks for count=10**6 to see the whole window: seeds are
+    # built for the window's levels and one above, not for every count.
+    grid = default_grid(P3, SECTOR_P, n_points=200)
+    size = _whole_window(*radial._sector_bands(P3, SECTOR_P, grid, STANDARD),
+                         P3.m).size
+    calls = []
+    energy = analytic.energy
+    monkeypatch.setattr(analytic, "energy",
+                        lambda *args: calls.append(args) or energy(*args))
+    runs = []
+    for count in (10**6, size):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            runs.append(solve_bound_levels(P3, SECTOR_P, grid, count=count))
+        assert 0 < len(calls) <= size + 1
+    every, window = runs
+    assert len(every) == len(window) > 0
+    for got, ref in zip(every, window):
+        assert got.energy == ref.energy
+        assert np.array_equal(got.doublet[0], ref.doublet[0])
+        assert np.array_equal(got.doublet[1], ref.doublet[1])
 
 
 # --- The band operator type: every operation against its dense form. ---
