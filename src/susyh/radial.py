@@ -26,13 +26,14 @@ bisection (stebz) and inverse iteration (stein) on those bands.  Only the
 levels a caller uses are bisected to full precision, each from its own node
 of the bisection tree, which ends on the same float as a bisection of the
 whole window (_window_levels).  Each wanted level's closed-form energy
-(analytic.energy) seeds Rayleigh-quotient iteration, a few tridiagonal
-solves that place the level within its Kato-Temple bound; halving the
-window toward that bound gives its node, and Sturm counts confirm that each
-node holds one level and together the lowest ones.  The computed Sturm
-count is monotone in the shift (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3,
-1995), so each node lies on the whole-window bisection's path.  Where a
-check fails, a coarse pass over the window finds the nodes instead.
+(analytic.energy, through _closed_form_seed) seeds Rayleigh-quotient
+iteration, a few tridiagonal solves that place the level within its
+Kato-Temple bound; halving the window toward that bound gives its node, and
+Sturm counts confirm that each node holds one level and together the lowest
+ones.  The computed Sturm count is monotone in the shift (Kahan 1966;
+Demmel, Dhillon & Ren, ETNA 3, 1995), so each node lies on the whole-window
+bisection's path.  Where a check fails twice, the second time with the
+bound widened by the count's roundoff, the whole window is bisected.
 """
 
 from __future__ import annotations
@@ -394,17 +395,16 @@ def _split_doublet(layout: str, grid: RadialGrid, column: np.ndarray) -> tuple:
 # precision of the eigenvalue itself.
 _FULL_PRECISION = 2.0 * np.finfo(np.float64).tiny
 
-# _window_levels' coarse tolerance, in units of m, and the factor by which a
-# node that holds more than one level is split further.
-_COARSE_TOL = 1e-2
-_RESPLIT = 32
 # dstebz's relative tolerance: twice its ulp, dlamch('P') = 2^-52.
 _RELTOL = 2.0 * np.finfo(np.float64).eps
 
-# Rayleigh-quotient steps at most, and the ulps of |theta| added to a
-# distance bound for the roundoff in computing the quotient.
+# Rayleigh-quotient steps at most, the ulps of |theta| added to a distance
+# bound for the roundoff in computing the quotient, and the multiple of eps
+# |x|^T |T| |x| added on the seeded pass's retry for the roundoff of the
+# computed Sturm count.
 _RQI_STEPS = 5
 _RQI_ULPS = 16.0
+_RETRY_WIDEN = 4.0
 
 _STEBZ, _STEIN, _GTSV = get_lapack_funcs(("stebz", "stein", "gtsv"),
                                          dtype=np.float64)
@@ -473,16 +473,16 @@ def _node_of(lo: float, hi: float, a: float, b: float, tol: float,
 
 
 def _rayleigh(d: np.ndarray, e: np.ndarray, a: float, b: float,
-              theta: float):
+              theta: float, widen: float = 0.0):
     """Rayleigh-quotient iteration on the bands from the shift theta, for
     the one eigenvalue taken to lie in (a, b]: (theta, delta), the Rayleigh
     quotient of the unit iterate x and its Kato-Temple distance bound delta
-    = r^2 / gap + _RQI_ULPS eps |theta|, with r = ||T x - theta x|| and gap
-    the distance from theta to the nearer end of (a, b].  Stops once r^2 /
-    gap is below the ulp term.  None when an iterate leaves (a, b], a
-    shifted solve is singular, or r cannot get there: r stops halving, or
-    the roundoff of T x is already too large (deep walls), or _RQI_STEPS
-    pass.
+    = r^2 / gap + _RQI_ULPS eps |theta| + widen eps |x|^T |T| |x|, with r =
+    ||T x - theta x|| and gap the distance from theta to the nearer end of
+    (a, b].  Stops once r^2 / gap is below the ulp term.  None when an
+    iterate leaves (a, b], a shifted solve is singular, or r cannot get
+    there: r stops halving, or the roundoff of T x is already too large
+    (deep walls), or _RQI_STEPS pass.
     """
     eps = np.finfo(np.float64).eps
     x = np.ones(d.size)
@@ -508,6 +508,10 @@ def _rayleigh(d: np.ndarray, e: np.ndarray, a: float, b: float,
         r = math.sqrt(tx @ tx)
         floor, gap = _RQI_ULPS * eps * abs(theta), min(theta - a, b - theta)
         if r * r <= floor * gap:
+            if widen:
+                # |x|^T |T| |x|, the scale of the Sturm count's roundoff.
+                floor += widen * eps * float(
+                    np.abs(d) @ (x * x) + 2.0 * np.abs(x[:-1]) @ np.abs(up))
             return theta, floor + (r * r / gap if r else 0.0)
         if r > 0.5 * r_last or r_min * r_min > floor * gap:
             return None
@@ -531,53 +535,18 @@ def _one_level(d: np.ndarray, e: np.ndarray, a: float, b: float,
     return w[0] if 0.5 * (na + nb) == w[0] else None
 
 
-def _node_levels(d: np.ndarray, e: np.ndarray, a: float, b: float,
-                 count: int, tol: float, pivmin: float):
-    """(how many eigenvalues lie in the bisection node (a, b], the lowest
-    count of them at full precision), or None when a node is not found
-    again.  See _window_levels."""
-    size, coarse = _bisect(d, e, a, b, tol)
-    levels = []
-    for v, k in zip(*np.unique(coarse, return_counts=True)):
-        if len(levels) >= count:
-            break
-        na, nb = _node_of(v, v, a, b, tol, pivmin)
-        if 0.5 * (na + nb) != v:
-            return None
-        if _converged(na, nb, _FULL_PRECISION, pivmin):
-            # The full-precision pass stops here too, at the same midpoint.
-            got = k, np.full(k, v)
-        elif k > 1:
-            got = _node_levels(d, e, na, nb, count - len(levels),
-                               tol / _RESPLIT, pivmin)
-        else:
-            # Jump from the midpoint v to the deepest node below (na, nb]
-            # that holds the Rayleigh quotient give or take its bound.
-            got = _rayleigh(d, e, na, nb, v)
-            level = got and _one_level(d, e, *_node_of(
-                got[0] - got[1], sum(got), na, nb, _FULL_PRECISION, pivmin),
-                pivmin)
-            got = ((1, [level]) if level is not None
-                   else _bisect(d, e, na, nb, _FULL_PRECISION))
-        if got is None or got[0] != k:
-            return None
-        levels.extend(got[1])
-    return size, np.array(levels[:count])
-
-
-def _seeded_levels(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
-                   count: int, seed, pivmin: float):
-    """(how many eigenvalues lie in (lo, hi], the lowest count of them at
-    full precision), each found from its seed(k); None when a check fails.
-    See _window_levels."""
-    size = _count_in(d, e, lo, hi)
-    k = min(count, size)
-    ends = [lo, *(seed(j) for j in range(k + 1))]
+def _seeded_levels(d: np.ndarray, e: np.ndarray, ends: list, hi: float,
+                   widen: float, pivmin: float):
+    """The levels seeded by ends[1:-1], ascending, at full precision, or None
+    when a check fails; ends[0] is the window's lower end, ends[-1] the seed
+    above the top level.  See _window_levels."""
+    lo, k = ends[0], len(ends) - 2
     nodes = []
     # Top level first: where seeds stray, the higher levels stray most, and
     # the count up to the top node then ends the pass before any bisection.
     for j in reversed(range(k)):
-        got = _rayleigh(d, e, ends[j], min(ends[j + 2], hi), ends[j + 1])
+        got = _rayleigh(d, e, ends[j], min(ends[j + 2], hi), ends[j + 1],
+                        widen)
         if got is None:
             return None
         a, b = _node_of(got[0] - got[1], sum(got), lo, hi, _FULL_PRECISION,
@@ -587,7 +556,7 @@ def _seeded_levels(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
             return None
         nodes.append((a, b))
     levels = [_one_level(d, e, a, b, pivmin) for a, b in reversed(nodes)]
-    return None if None in levels else (size, np.array(levels))
+    return None if None in levels else np.array(levels)
 
 
 def _window_levels(d: np.ndarray, e: np.ndarray, m: float, count: int,
@@ -607,33 +576,41 @@ def _window_levels(d: np.ndarray, e: np.ndarray, m: float, count: int,
     whole-window pass's path: bisected from its own (a, b], or taken at its
     midpoint once converged, it gives the same float.
 
-    Seeded: Rayleigh-quotient iteration (_rayleigh) from seed(j), kept
-    between the neighbouring seeds, places level j within its Kato-Temple
-    bound delta, and halving the window toward theta +- delta (_node_of)
-    gives its node (a, b].  The top level goes first: N(b) - N(lo) must
-    equal the number of levels wanted before anything is bisected.  The
-    nodes must be disjoint and ascending and hold one eigenvalue each
-    (_one_level); then node j holds level j.  A failed check ends the pass.
-
-    Otherwise a coarse pass finds the window size and a node per cluster of
-    levels, and only the nodes of wanted levels are refined.  A node of
-    several levels is split at a tolerance _RESPLIT times finer until each
-    level is alone (at weak coupling the levels crowd below m, Z alpha =
-    0.1 binding by at most 5e-3 m); a node of one level jumps as above from
-    its midpoint, within its own ends, or is bisected from its ends.  If a
-    node is not found again (a LAPACK whose bisection differs), the whole
-    window is bisected.
+    Rayleigh-quotient iteration (_rayleigh) from seed(j), kept between the
+    neighbouring seeds, places level j within its Kato-Temple bound delta,
+    and halving the window toward theta +- delta (_node_of) gives its node
+    (a, b].  The top level goes first: N(b) - N(lo) must equal the number
+    of levels wanted before anything is bisected.  The nodes must be
+    disjoint and ascending and hold one eigenvalue each (_one_level); then
+    node j holds level j.  A failed check ends the pass.  The bound leaves
+    out the roundoff of N itself, which at n = 1e5 can put a level just
+    outside its node, so a failed pass runs once more with delta widened by
+    _RETRY_WIDEN eps |x|^T |T| |x| (widening every pass would make each
+    node's bisection longer).  Without seeds, or when the retry fails too
+    (seeds that stray past a neighbour, as on coarse grids or for levels
+    the box holds away from their closed forms, or a residual that cannot
+    converge near deep walls), the whole window is bisected.
     """
     lo, hi = _window_bounds(m)
-    # dstebz's pivot floor: the underflow threshold times max(1, max e^2).
-    e2_max = float(np.max(e * e, initial=0.0))
-    pivmin = np.finfo(np.float64).tiny * max(1.0, e2_max)
-    got = (seed and _seeded_levels(d, e, lo, hi, count, seed, pivmin)
-           or _node_levels(d, e, lo, hi, count, _COARSE_TOL * m, pivmin))
-    if got is None:
-        size, values = _bisect(d, e, lo, hi, _FULL_PRECISION)
-        return size, values[:count]
-    return got
+    if seed is not None:
+        # dstebz's pivot floor: the underflow threshold times max(1, max e^2).
+        e2_max = float(np.max(e * e, initial=0.0))
+        pivmin = np.finfo(np.float64).tiny * max(1.0, e2_max)
+        size = _count_in(d, e, lo, hi)
+        ends = [lo, *(seed(j) for j in range(min(count, size) + 1))]
+        for widen in (0.0, _RETRY_WIDEN):
+            levels = _seeded_levels(d, e, ends, hi, widen, pivmin)
+            if levels is not None:
+                return size, levels
+    size, values = _bisect(d, e, lo, hi, _FULL_PRECISION)
+    return size, values[:count]
+
+
+def _closed_form_seed(params: PhysParams, sector: KappaSector):
+    """seed(k) for _window_levels: level k's closed-form energy, in the
+    units of the bands."""
+    return lambda k: params.m * analytic.energy(
+        params, analytic.level_label(sector, k))
 
 
 def _eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -689,10 +666,7 @@ def solve_bound_levels(
     # raises; the result equals filtering the whole window and taking the
     # first `count`.
     want = max(count, 1)
-
-    def seed(k):
-        return m * analytic.energy(params, analytic.level_label(sector, k))
-
+    seed = _closed_form_seed(params, sector)
     size, vals = _window_levels(*bands, m, want, seed)
     if size == 0:
         warnings.warn(f"no bound levels in (0, m); requested {count}",

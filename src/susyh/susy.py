@@ -472,15 +472,17 @@ def _bound_columns(params: PhysParams, sector: KappaSector, grid: RadialGrid,
     """Lowest `count` bound eigencolumns of the sector in the STANDARD
     layout, as stacked (F, G) solver-coordinate vectors.
 
-    Only those levels are bisected (radial._window_levels) and inverted,
-    and their eigenvalues are bitwise those of a bisection of the whole
-    window, so the columns are those of the whole-window solve.  The
+    Only those levels are bisected (radial._window_levels, seeded with
+    their closed-form energies as solve_bound_levels seeds them) and
+    inverted, and their eigenvalues are bitwise those of a bisection of the
+    whole window, so the columns are those of the whole-window solve.  The
     eigenvalues must not move by even an ulp: the roundoff mask of the
     refinement rows amplifies that to about 3e-5 in a fitted order (D = 2,
     |kappa| = 1/2, n = 80).
     """
     bands = radial._sector_bands(params, sector, grid, radial.STANDARD)
-    _, vals = radial._window_levels(*bands, params.m, count)
+    _, vals = radial._window_levels(*bands, params.m, count,
+                                    radial._closed_form_seed(params, sector))
     cols = radial._eigenvectors(*bands, vals)
     # Position order G_1, F_1, G_2, F_2, ...
     return np.vstack([cols[1::2], cols[0::2]])

@@ -574,11 +574,12 @@ def _sector_domain():
 
 
 # Tier-1 runs n = 150 (and the near-critical walls at 150 and 800);
-# SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800 and 3200 to both.  From
-# n = 150 up the closed-form seeds give every sector's lowest three levels
-# without the coarse pass; at n = 40 they often stray past a neighbour.
-WINDOW_POINTS = (40, 150, 800, 3200) if os.environ.get("SUSYH_BISECTION_SWEEP") \
-    else (150,)
+# SUSYH_BISECTION_SWEEP=1 (a CI step) adds 40, 800 and 3200 to both, and the
+# n = 1e5 sectors whose seeded pass needs its retry.  From n = 150 up the
+# closed-form seeds give every sector's lowest three levels without the
+# whole-window pass; at n = 40 they often stray past a neighbour.
+SWEEP = bool(os.environ.get("SUSYH_BISECTION_SWEEP"))
+WINDOW_POINTS = (40, 150, 800, 3200) if SWEEP else (150,)
 NEAR_CRITICAL_POINTS = sorted({150, 800, *WINDOW_POINTS})
 
 
@@ -588,13 +589,13 @@ def _whole_window(d, e, m):
                             lapack_driver="stebz", tol=radial._FULL_PRECISION)
 
 
-def _seed_of(p, sector):
-    """The seeds solve_bound_levels passes: level k's closed-form energy."""
-    return lambda k: p.m * analytic.energy(p, analytic.level_label(sector, k))
+# The seeds solve_bound_levels and susy._bound_columns pass: level k's
+# closed-form energy.
+_seed_of = radial._closed_form_seed
 
 
-def _coarse_pass(m):
-    return (*radial._window_bounds(m), radial._COARSE_TOL * m)
+def _whole_pass(m):
+    return (*radial._window_bounds(m), radial._FULL_PRECISION)
 
 
 def _record_bisections(patch):
@@ -610,59 +611,66 @@ def _record_bisections(patch):
     return passes
 
 
-def _assert_window_levels_bitwise(monkeypatch, d, e, m, seeds=(None,),
-                                  replayed=True, seeded=False,
-                                  counts=(1, 2, 3, 4, 9), ref=None):
-    # With each of the seeds (None: the coarse pass alone) and each count,
-    # and the window size + 2.  With replayed set, no count bisects the
-    # whole window at full precision (every node was found again), and no
-    # full-precision pass holds more than one level: a node of several
-    # levels is split until each is alone or its node has converged, and a
-    # jump's narrow node holds its level or none.  Nor is any level past the
-    # count bisected.  With seeded set, the seeds give the lowest three
-    # levels without the coarse pass.
+def _assert_seeded_path(passes, count):
+    # No bisection but Sturm counts (a tolerance as wide as the interval)
+    # and one full-precision pass per wanted level, on a node that holds
+    # that level alone.
+    full = [got[0] for (lo, hi, tol), got in passes.items()
+            if tol == radial._FULL_PRECISION]
+    assert full == [1] * count
+    assert all(tol in (hi - lo, radial._FULL_PRECISION)
+               for lo, hi, tol in passes)
+
+
+def _assert_window_levels_bitwise(monkeypatch, d, e, m, seeds,
+                                  counts=(1, 2, 3, 4, 9), ref=None,
+                                  seeded_up_to=0, fallback=False):
+    # With each of the seeds and each count, and the window size + 2, the
+    # values of one whole-window pass.  Without a seed (None) that pass is
+    # the only bisection.  With one, no other full-precision pass holds more
+    # than one level, and none a level past the count; counts up to
+    # seeded_up_to make no whole-window pass, and with fallback set every
+    # count makes one unless the window is empty.
     ref = _whole_window(d, e, m) if ref is None else ref
-    whole = (*radial._window_bounds(m), radial._FULL_PRECISION)
+    whole = _whole_pass(m)
     for seed, count in itertools.product(seeds, (*counts, ref.size + 2)):
         with monkeypatch.context() as patch:
             passes = _record_bisections(patch)
             size, values = radial._window_levels(d, e, m, count, seed)
         assert size == ref.size
         assert np.array_equal(values, ref[:count])
-        assert (whole in passes) == (not replayed)
-        if replayed:
-            held = [got[0] for (_, _, tol), got in passes.items()
-                    if tol == radial._FULL_PRECISION]
-            assert max(held, default=0) <= 1
-            assert sum(held) <= count
-        if seeded and seed and count <= 3:
-            assert _coarse_pass(m) not in passes
+        if seed is None:
+            assert list(passes) == [whole]
+            continue
+        held = [got[0] for args, got in passes.items()
+                if args[2] == radial._FULL_PRECISION and args != whole]
+        assert max(held, default=0) <= 1
+        assert sum(held) <= count
+        if count <= seeded_up_to:
+            assert whole not in passes
+        if fallback and ref.size:
+            assert whole in passes
 
 
 @pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
 @pytest.mark.parametrize("n", WINDOW_POINTS)
 def test_window_levels_equal_whole_window_bisection(monkeypatch, n, layout):
-    # Both paths: the seeded pass, and the coarse nodes it falls back to
-    # (which susy's ladder columns use directly).  Count 9 and the whole
-    # window ask for levels that the box holds away from their closed
-    # forms, so the seeded pass falls back there in all but 2 of the 142
-    # sectors at n = 150: the unseeded run skips count 9.
+    # Count 9 and the whole window ask for levels that the box holds away
+    # from their closed forms, so the seeded pass falls back there in all
+    # but 2 of the 142 sectors at n = 150.
     for D, l, sign, z_alpha in _sector_domain():
         p = PhysParams(D=D, z_alpha=z_alpha)
         sector = kappa_of(p, l, sign)
         grid = default_grid(p, sector, n_points=n)
         bands = radial._sector_bands(p, sector, grid, layout)
-        ref = _whole_window(*bands, p.m)
-        _assert_window_levels_bitwise(monkeypatch, *bands, p.m,
-                                      counts=(1, 2, 3, 4), ref=ref)
         _assert_window_levels_bitwise(monkeypatch, *bands, p.m,
                                       (_seed_of(p, sector),),
-                                      seeded=n >= 150, ref=ref)
+                                      seeded_up_to=3 if n >= 150 else 0)
 
 
 def test_window_levels_from_seeds_at_n_40(monkeypatch):
     # At n = 40 the seeds often stray past a neighbouring level, and the
-    # pass falls back to the coarse nodes, with the same floats.  Tier-1
+    # pass falls back to the whole window, with the same floats.  Tier-1
     # takes every fourth sector; the sweep runs them all.
     for D, l, sign, z_alpha in _sector_domain()[::4]:
         p = PhysParams(D=D, z_alpha=z_alpha)
@@ -678,69 +686,62 @@ def test_window_levels_from_seeds_at_n_40(monkeypatch):
 @pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
 def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
     # Near-wall rows raise dstebz's pivot floor tiny * max e^2 to 1e-107 m
-    # and, at Z alpha = 0.4999 and n = 800, to 0.05 m: coarse nodes there
-    # have already converged at full precision.  The seeded pass gives up
-    # here (the roundoff of T x near the wall holds the residual up).
+    # and, at Z alpha = 0.4999 and n = 800, to 0.05 m.  The seeded pass
+    # gives up here (the roundoff of T x near the wall holds the residual
+    # up), on both tries, and the whole window is bisected.
     p = PhysParams(D=2, z_alpha=z_alpha)
     for sign, n in itertools.product((1, -1), NEAR_CRITICAL_POINTS):
         sector = kappa_of(p, 0, sign)
         grid = _walled_grid(p, sector, wall, n)
         _assert_window_levels_bitwise(
             monkeypatch, *radial._sector_bands(p, sector, grid, layout), p.m,
-            (None, _seed_of(p, sector)))
+            (_seed_of(p, sector),), fallback=True)
 
 
 def test_window_levels_fall_back_when_a_node_is_lost(monkeypatch):
     # A bisection that does not stop in the replayed nodes (another LAPACK)
-    # gets the whole-window pass instead, with or without seeds.
+    # gets the whole-window pass instead; so does a call without seeds.
     monkeypatch.setattr(radial, "_node_of",
                         lambda lo, hi, a, b, tol, pivmin:
                         (a, np.nextafter(b, a)))
     grid = default_grid(P3, SECTOR_P, n_points=150)
     _assert_window_levels_bitwise(
         monkeypatch, *radial._sector_bands(P3, SECTOR_P, grid, STANDARD),
-        P3.m, (None, _seed_of(P3, SECTOR_P)), replayed=False)
+        P3.m, (None, _seed_of(P3, SECTOR_P)), fallback=True)
 
 
 def test_window_levels_jump_past_the_coarse_nodes(monkeypatch):
-    # At n = 3000 the coarse nodes are 7.8e-3 m wide.  For kappa = 1 the two
-    # lowest levels sit alone in theirs and the third shares one with the
-    # fourth; for kappa = -1 two wanted levels share one.  Without seeds a
-    # shared node is split until each level is alone, and each level alone
-    # in a node jumps from its midpoint to a node under 1e-9 m wide.  With
-    # seeds there is no coarse pass: each level jumps from its closed form
-    # straight to a node under 1e-12 m wide.  Either way each level gets one
-    # full-precision bisection.
-    coarse = _coarse_pass(P3.m)
+    # At n = 3000 a bisection of the whole window at 1e-2 m would stop in
+    # nodes 7.8e-3 m wide: for kappa = 1 the third and fourth levels share
+    # one, and for kappa = -1 two wanted levels do.  The seeded pass makes
+    # no such pass: each level jumps from its closed form straight to a node
+    # under 1e-12 m wide and gets one full-precision bisection there.
     for sector, counts in ((SECTOR_P, (1, 2, 3, 4)), (SECTOR_M, (3, 4))):
         grid = default_grid(P3, sector, n_points=3000)
         d, e = radial._sector_bands(P3, sector, grid, STANDARD)
         ref = _whole_window(d, e, P3.m)
-        for count, seed in itertools.product(counts,
-                                             (None, _seed_of(P3, sector))):
+        for count in counts:
             with monkeypatch.context() as patch:
                 passes = _record_bisections(patch)
-                size, values = radial._window_levels(d, e, P3.m, count, seed)
+                size, values = radial._window_levels(d, e, P3.m, count,
+                                                     _seed_of(P3, sector))
             assert size == ref.size > count
             assert np.array_equal(values, ref[:count])
-            assert (coarse in passes) == (seed is None)
-            full = [(hi - lo, got[0]) for (lo, hi, tol), got in passes.items()
-                    if tol == radial._FULL_PRECISION]
-            assert len(full) == count
-            width = (1e-9 if seed is None else 1e-12) * P3.m
-            assert all(w < width and k == 1 for w, k in full)
+            _assert_seeded_path(passes, count)
+            assert all(hi - lo < 1e-12 * P3.m for lo, hi, tol in passes
+                       if tol == radial._FULL_PRECISION)
 
 
 def _misplaced_quotient(where):
     """A _rayleigh stand-in whose theta misses the level it is asked for."""
     original = radial._rayleigh
 
-    def rayleigh(d, e, a, b, theta):
+    def rayleigh(d, e, a, b, theta, widen=0.0):
         if where == "above":
             return b + (b - a), 0.0
         if where == "below":
             return a - (b - a), 0.0
-        got = original(d, e, a, b, theta)
+        got = original(d, e, a, b, theta, widen)
         if got is None:
             return None
         theta, delta = got
@@ -755,8 +756,8 @@ def _misplaced_quotient(where):
 def test_window_levels_fall_back_when_the_jump_misses(monkeypatch, where):
     # A Rayleigh quotient outside its interval, or thousands of ulps off with
     # its bound, gives a node that does not hold the level: a count rejects
-    # it, the seeded pass gives up, and each coarse node is bisected from
-    # its ends instead.
+    # it, or the node is bisected and holds no level, on both tries, and the
+    # whole window is bisected instead.
     grid = default_grid(P3, SECTOR_P, n_points=150)
     d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
     landed = []
@@ -769,8 +770,9 @@ def test_window_levels_fall_back_when_the_jump_misses(monkeypatch, where):
     monkeypatch.setattr(radial, "_rayleigh", _misplaced_quotient(where))
     monkeypatch.setattr(radial, "_one_level", one_level)
     _assert_window_levels_bitwise(monkeypatch, d, e, P3.m,
-                                  (None, _seed_of(P3, SECTOR_P)))
-    assert landed and all(v is None for v in landed)
+                                  (_seed_of(P3, SECTOR_P),), fallback=True)
+    assert all(v is None for v in landed)
+    assert bool(landed) == (where == "ulps above")
 
 
 def _stray(seed, how):
@@ -789,16 +791,13 @@ def _stray(seed, how):
 def test_window_levels_from_stray_seeds(monkeypatch, how, seeded):
     # A seed thousands of ulps off still starts the iteration close enough;
     # a seed outside the window, or one for the wrong level, is caught by
-    # the interval or the counts, and the coarse pass gives the same floats.
+    # the interval or the counts, and the whole window gives the floats.
     grid = default_grid(P3, SECTOR_P, n_points=150)
     d, e = radial._sector_bands(P3, SECTOR_P, grid, STANDARD)
-    seed = _stray(_seed_of(P3, SECTOR_P), how)
-    _assert_window_levels_bitwise(monkeypatch, d, e, P3.m, (seed,),
-                                  seeded=seeded)
-    with monkeypatch.context() as patch:
-        passes = _record_bisections(patch)
-        radial._window_levels(d, e, P3.m, 3, seed)
-    assert (_coarse_pass(P3.m) in passes) == (not seeded)
+    _assert_window_levels_bitwise(monkeypatch, d, e, P3.m,
+                                  (_stray(_seed_of(P3, SECTOR_P), how),),
+                                  seeded_up_to=3 if seeded else 0,
+                                  fallback=not seeded)
 
 
 @pytest.mark.parametrize("z_alpha", [0.1, 0.2, 0.3])
@@ -807,7 +806,7 @@ def test_window_levels_fall_back_at_the_box_floor(monkeypatch, z_alpha,
                                                   layout):
     # D = 2, l = 0, kappa < 0: the 60 u box pulls level 3 away from its
     # closed form, past the neighbouring seed, so count 4 falls back to the
-    # coarse pass, with the same floats.
+    # whole window, with the same floats.
     p = PhysParams(D=2, z_alpha=z_alpha)
     sector = kappa_of(p, 0, -1)
     grid = default_grid(p, sector, n_points=150)
@@ -816,16 +815,16 @@ def test_window_levels_fall_back_at_the_box_floor(monkeypatch, z_alpha,
         passes = _record_bisections(patch)
         _, values = radial._window_levels(d, e, p.m, 4, _seed_of(p, sector))
     assert np.array_equal(values, _whole_window(d, e, p.m)[:4])
-    assert _coarse_pass(p.m) in passes
+    assert _whole_pass(p.m) in passes
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_no_jump_at_the_residual_floor(monkeypatch, sign):
     # At D = 2, Z alpha = 0.49 (s = 0.099, wall 7e-31 u) the roundoff of T x
     # near the wall holds r near 1e-2, far above what the Kato-Temple bound
-    # needs, so each iteration gives up after one solve: the seeded pass
-    # ends before any bisection, and each coarse node is bisected from its
-    # ends, once.
+    # needs, so the top level's iteration gives up after one solve, on each
+    # try: each seeded pass ends before any bisection, and the whole window
+    # is bisected once.
     p = PhysParams(D=2, z_alpha=0.49)
     sector = kappa_of(p, 0, sign)
     grid = default_grid(p, sector, n_points=20000)
@@ -845,14 +844,43 @@ def test_no_jump_at_the_residual_floor(monkeypatch, sign):
     monkeypatch.setattr(radial, "_bisect", logged("bisect", bisect))
     _, values = radial._window_levels(d, e, p.m, 4, _seed_of(p, sector))
     assert np.array_equal(values, _whole_window(d, e, p.m)[:4])
-    names = [name for name, *_ in events]
-    assert names.count("rayleigh") == names.count("solve") > 4
+    assert [name for name, *_ in events] == [
+        "bisect", "solve", "rayleigh", "solve", "rayleigh", "bisect"]
     assert all(got is None for name, got, _ in events if name == "rayleigh")
-    full = [i for i, (name, _, args) in enumerate(events)
-            if name == "bisect" and args[-1] == radial._FULL_PRECISION]
-    coarse = [i for i, (name, _, args) in enumerate(events)
-              if name == "bisect" and args == _coarse_pass(p.m)]
-    assert len(full) == 4 and coarse and coarse[0] < full[0]
+    assert events[0][2][-1] != radial._FULL_PRECISION  # the window's count
+    assert events[-1][2] == _whole_pass(p.m)
+
+
+# At n = 1e5 the Sturm count's roundoff puts a level of these sectors just
+# outside the node of its Kato-Temple bound; the retry's widened bound finds
+# it.  Tier-1 runs the `spectrum --D 3` default sector, the sweep all five.
+RETRY_SECTORS = [(3, 0, 1, 0.5)] + ([(2, 0, 1, 0.2), (2, 0, 1, 0.3),
+                                     (4, 0, 1, 0.5), (5, 2, 1, 0.2)]
+                                    if SWEEP else [])
+
+
+@pytest.mark.parametrize("D,l,sign,z_alpha", RETRY_SECTORS)
+def test_window_levels_seeded_at_n_1e5_on_the_retry(monkeypatch, D, l, sign,
+                                                     z_alpha):
+    p = PhysParams(D=D, z_alpha=z_alpha)
+    sector = kappa_of(p, l, sign)
+    grid = default_grid(p, sector, n_points=100000)
+    d, e = radial._sector_bands(p, sector, grid, STANDARD)
+    tries = []
+    seeded_levels = radial._seeded_levels
+
+    def one_try(*args):
+        passes.clear()  # keep the bisections of the last try
+        tries.append(seeded_levels(*args))
+        return tries[-1]
+
+    with monkeypatch.context() as patch:
+        passes = _record_bisections(patch)
+        patch.setattr(radial, "_seeded_levels", one_try)
+        _, values = radial._window_levels(d, e, p.m, 3, _seed_of(p, sector))
+    assert [got is None for got in tries] == [True, False]
+    _assert_seeded_path(passes, 3)
+    assert np.array_equal(values, _whole_window(d, e, p.m)[:3])
 
 
 def test_converged_node_gives_its_midpoint_after_one_count(monkeypatch):

@@ -21,7 +21,8 @@ from susyh.susy import (build_A, build_supercharges, build_susy_block,
                         interior_norm, kernel_annihilation_report,
                         sector_pair, spectral_pairing_at, verify_A_squared)
 from test_bench_contract import load_bench_module
-from test_radial import _interleaved_bands
+from test_radial import (_assert_seeded_path, _interleaved_bands,
+                        _record_bisections)
 
 P3 = PhysParams(D=3, z_alpha=0.5)
 
@@ -874,3 +875,19 @@ def test_bound_columns_match_full_window(case):
         for got, ref in zip(cols.T, full[:, :take].T):
             assert min(np.max(np.abs(got - ref)),
                        np.max(np.abs(got + ref))) <= 1e-12
+
+
+def test_bound_columns_bisect_only_their_levels(monkeypatch):
+    # verify's refinement ladder seeds its columns with their closed forms:
+    # over the block domain at the benchmark's base grid, each level is
+    # bisected alone from its own node, with no pass over the whole window.
+    for D, l, za in load_bench_module("workloads").block_domain():
+        params = PhysParams(D=D, z_alpha=za)
+        _, plus_sector = sector_pair(params, l + (D - 1) / 2)
+        grid = default_grid(params, plus_sector, n_points=200)
+        with monkeypatch.context() as patch:
+            passes = _record_bisections(patch)
+            cols = susy._bound_columns(params, plus_sector, grid,
+                                       susy.ENSEMBLE)
+        assert cols.shape[1] == susy.ENSEMBLE
+        _assert_seeded_path(passes, susy.ENSEMBLE)
