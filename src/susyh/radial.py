@@ -32,8 +32,9 @@ Kato-Temple bound; halving the window toward that bound gives its node, and
 Sturm counts confirm that each node holds one level and together the lowest
 ones.  The computed Sturm count is monotone in the shift (Kahan 1966;
 Demmel, Dhillon & Ren, ETNA 3, 1995), so each node lies on the whole-window
-bisection's path.  Where a check fails twice, the second time with the
-bound widened by the count's roundoff, the whole window is bisected.
+bisection's path.  Where a node check fails twice, the second time with
+the bound widened by the count's roundoff, or the iteration gives up, the
+whole window is bisected.
 """
 
 from __future__ import annotations
@@ -537,9 +538,10 @@ def _one_level(d: np.ndarray, e: np.ndarray, a: float, b: float,
 
 def _seeded_levels(d: np.ndarray, e: np.ndarray, ends: list, hi: float,
                    widen: float, pivmin: float):
-    """The levels seeded by ends[1:-1], ascending, at full precision, or None
-    when a check fails; ends[0] is the window's lower end, ends[-1] the seed
-    above the top level.  See _window_levels."""
+    """The levels seeded by ends[1:-1], ascending, at full precision; None
+    when a node check fails, False when an iteration gives up.  ends[0] is
+    the window's lower end, ends[-1] the seed above the top level.  See
+    _window_levels."""
     lo, k = ends[0], len(ends) - 2
     nodes = []
     # Top level first: where seeds stray, the higher levels stray most, and
@@ -548,15 +550,19 @@ def _seeded_levels(d: np.ndarray, e: np.ndarray, ends: list, hi: float,
         got = _rayleigh(d, e, ends[j], min(ends[j + 2], hi), ends[j + 1],
                         widen)
         if got is None:
-            return None
+            return False
         a, b = _node_of(got[0] - got[1], sum(got), lo, hi, _FULL_PRECISION,
                         pivmin)
         # Below the node above, or for the top node, the k lowest levels.
         if b > nodes[-1][0] if nodes else _count_in(d, e, lo, b) != k:
             return None
         nodes.append((a, b))
-    levels = [_one_level(d, e, a, b, pivmin) for a, b in reversed(nodes)]
-    return None if None in levels else np.array(levels)
+    levels = []
+    for a, b in reversed(nodes):
+        levels.append(_one_level(d, e, a, b, pivmin))
+        if levels[-1] is None:
+            return None
+    return np.array(levels)
 
 
 def _window_levels(d: np.ndarray, e: np.ndarray, m: float, count: int,
@@ -584,12 +590,15 @@ def _window_levels(d: np.ndarray, e: np.ndarray, m: float, count: int,
     disjoint and ascending and hold one eigenvalue each (_one_level); then
     node j holds level j.  A failed check ends the pass.  The bound leaves
     out the roundoff of N itself, which at n = 1e5 can put a level just
-    outside its node, so a failed pass runs once more with delta widened by
-    _RETRY_WIDEN eps |x|^T |T| |x| (widening every pass would make each
-    node's bisection longer).  Without seeds, or when the retry fails too
-    (seeds that stray past a neighbour, as on coarse grids or for levels
-    the box holds away from their closed forms, or a residual that cannot
-    converge near deep walls), the whole window is bisected.
+    outside its node, so a pass whose node check fails runs once more with
+    delta widened by _RETRY_WIDEN eps |x|^T |T| |x| (widening every pass
+    would make each node's bisection longer).  A pass whose iteration gives
+    up is not retried: the widening only enters a converged bound, and each
+    iteration starts from the seeds alone, so the retry would give up at
+    the same level.  Without seeds, or when the seeded pass fails (seeds
+    that stray past a neighbour, as on coarse grids or for levels the box
+    holds away from their closed forms, or a residual that cannot converge
+    near deep walls), the whole window is bisected.
     """
     lo, hi = _window_bounds(m)
     if seed is not None:
@@ -600,6 +609,8 @@ def _window_levels(d: np.ndarray, e: np.ndarray, m: float, count: int,
         ends = [lo, *(seed(j) for j in range(min(count, size) + 1))]
         for widen in (0.0, _RETRY_WIDEN):
             levels = _seeded_levels(d, e, ends, hi, widen, pivmin)
+            if levels is False:
+                break
             if levels is not None:
                 return size, levels
     size, values = _bisect(d, e, lo, hi, _FULL_PRECISION)
@@ -631,6 +642,28 @@ def _eigenvectors(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _held(d: np.ndarray, e: np.ndarray, ends: list) -> list:
+    """Whether the bands hold an eigenvalue in each interval (a, b] of ends,
+    whose a and b both ascend.
+
+    Consecutive intervals whose common part (a_last, b_first] is not empty
+    form a run.  The computed Sturm count N is monotone (see
+    _window_levels), so N(b) - N(a) >= N(b_first) - N(a_last) on every
+    interval of a run: one count over the common part that finds an
+    eigenvalue decides the whole run, and only a run whose common part
+    holds none is counted an interval at a time.
+    """
+    held = []
+    while len(held) < len(ends):
+        i = j = len(held)
+        while j + 1 < len(ends) and ends[j + 1][0] < ends[i][1]:
+            j += 1
+        common = _count_in(d, e, ends[j][0], ends[i][1]) > 0
+        held += ([common] * (j + 1 - i) if common or i == j else
+                 [_count_in(d, e, a, b) > 0 for a, b in ends[i:j + 1]])
+    return held
+
+
 def solve_bound_levels(
     params: PhysParams,
     sector: KappaSector,
@@ -649,9 +682,11 @@ def solve_bound_levels(
     node-alternation filter on both components (a sign-alternation fraction
     above SPURIOUS_THRESHOLD marks a discretization artifact, not a bound
     state) and, when stability_check is set, must persist within
-    STABILITY_TOL * m under one grid doubling: a Sturm count on the doubled
-    grid's bands must find a window eigenvalue within STABILITY_TOL * m of
-    it, so no doubled-grid eigenpairs are computed.
+    STABILITY_TOL * m under one grid doubling: the doubled grid's bands
+    must hold a window eigenvalue within STABILITY_TOL * m of it.  Sturm
+    counts decide that, one over the common part of each run of
+    overlapping intervals (_held), so no doubled-grid eigenpairs are
+    computed and most solves make one count.
     The result is the first count levels of the whole window that pass.
     Raises SpuriousSpectrumError if filtering rejects every candidate,
     ConvergenceError on solver failure, GridError when the bands are too
@@ -687,18 +722,20 @@ def solve_bound_levels(
         batch = vals[done:done + take]
         vecs = _eigenvectors(*bands, batch)
         done += take
+        passed = []
         for j, val in enumerate(batch):
             f, g = _split_doublet(layout, grid, vecs[:, j])
             if max(_alternation_fraction(f),
-                   _alternation_fraction(g)) > SPURIOUS_THRESHOLD:
-                continue
-            passed_filter += 1
-            # Stable: the doubled grid has a window level within
-            # STABILITY_TOL * m of this one.
-            if fine is None or _count_in(
-                    *fine, max(lo, val - STABILITY_TOL * m),
-                    min(hi, val + STABILITY_TOL * m)):
-                kept.append((val, f, g))
+                   _alternation_fraction(g)) <= SPURIOUS_THRESHOLD:
+                passed.append((val, f, g))
+        passed_filter += len(passed)
+        if fine is not None:
+            # Stable: the doubled grid has a window level within tol of it.
+            tol = STABILITY_TOL * m
+            held = _held(*fine, [(max(lo, val - tol), min(hi, val + tol))
+                                 for val, _, _ in passed])
+            passed = [level for level, ok in zip(passed, held) if ok]
+        kept += passed
     # At large l the default box is too short for the window's levels.
     hint = "; use a larger r_max (--r-max) or more points (--grid-points)"
     if not passed_filter:

@@ -503,17 +503,23 @@ def test_rejection_extends_past_requested_levels(monkeypatch, count):
     assert abs(got[0].energy - FIRST_EXCITED) < 1e-4
 
 
-def _reject_first_by_stability(monkeypatch, n_points):
-    # The window solve counts on the sector's own bands (2n rows); the first
-    # count on the doubled grid's bands (4n rows) is the one around the
-    # lowest candidate, and an empty count there rejects it as unstable.
-    calls = itertools.count()
+def _reject_first_by_stability(monkeypatch, grid):
+    # A doubled grid that lacks the level nearest the lowest candidate: on
+    # its bands (4n rows; the window solve counts on the sector's own, 2n)
+    # the count is the real one less one wherever the interval holds that
+    # level, so the lowest candidate has no level within STABILITY_TOL m.
+    lowest = _whole_window(*radial._sector_bands(P3, SECTOR_P, grid, STANDARD),
+                           P3.m)[0]
+    fine = _whole_window(*radial._sector_bands(P3, SECTOR_P, grid.refined(),
+                                               STANDARD), P3.m)
+    lost = fine[np.argmin(np.abs(fine - lowest))]
     original = radial._count_in
 
     def count_in(d, e, lo, hi):
-        if d.size == 4 * n_points and next(calls) == 0:
-            return 0
-        return original(d, e, lo, hi)
+        got = original(d, e, lo, hi)
+        if d.size == 4 * grid.n_points and lo < lost <= hi:
+            return got - 1
+        return got
 
     monkeypatch.setattr(radial, "_count_in", count_in)
 
@@ -526,7 +532,7 @@ def test_stability_rejection_extends_past_requested_levels(monkeypatch, count):
     grid = default_grid(P3, SECTOR_P, n_points=200)
     runs = []
     for reject in (_reject_first_candidate,
-                   lambda patch: _reject_first_by_stability(patch, 200)):
+                   lambda patch: _reject_first_by_stability(patch, grid)):
         with monkeypatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("error")
             reject(patch)
@@ -688,7 +694,7 @@ def test_window_levels_near_critical(monkeypatch, z_alpha, wall, layout):
     # Near-wall rows raise dstebz's pivot floor tiny * max e^2 to 1e-107 m
     # and, at Z alpha = 0.4999 and n = 800, to 0.05 m.  The seeded pass
     # gives up here (the roundoff of T x near the wall holds the residual
-    # up), on both tries, and the whole window is bisected.
+    # up), and the whole window is bisected.
     p = PhysParams(D=2, z_alpha=z_alpha)
     for sign, n in itertools.product((1, -1), NEAR_CRITICAL_POINTS):
         sector = kappa_of(p, 0, sign)
@@ -822,9 +828,10 @@ def test_window_levels_fall_back_at_the_box_floor(monkeypatch, z_alpha,
 def test_no_jump_at_the_residual_floor(monkeypatch, sign):
     # At D = 2, Z alpha = 0.49 (s = 0.099, wall 7e-31 u) the roundoff of T x
     # near the wall holds r near 1e-2, far above what the Kato-Temple bound
-    # needs, so the top level's iteration gives up after one solve, on each
-    # try: each seeded pass ends before any bisection, and the whole window
-    # is bisected once.
+    # needs, so the top level's iteration gives up after one solve.  The
+    # retry would start it from the same seeds and give up again, so it is
+    # not made: the seeded pass ends before any bisection, and the whole
+    # window is bisected once.
     p = PhysParams(D=2, z_alpha=0.49)
     sector = kappa_of(p, 0, sign)
     grid = default_grid(p, sector, n_points=20000)
@@ -845,7 +852,7 @@ def test_no_jump_at_the_residual_floor(monkeypatch, sign):
     _, values = radial._window_levels(d, e, p.m, 4, _seed_of(p, sector))
     assert np.array_equal(values, _whole_window(d, e, p.m)[:4])
     assert [name for name, *_ in events] == [
-        "bisect", "solve", "rayleigh", "solve", "rayleigh", "bisect"]
+        "bisect", "solve", "rayleigh", "bisect"]
     assert all(got is None for name, got, _ in events if name == "rayleigh")
     assert events[0][2][-1] != radial._FULL_PRECISION  # the window's count
     assert events[-1][2] == _whole_pass(p.m)
@@ -866,19 +873,28 @@ def test_window_levels_seeded_at_n_1e5_on_the_retry(monkeypatch, D, l, sign,
     sector = kappa_of(p, l, sign)
     grid = default_grid(p, sector, n_points=100000)
     d, e = radial._sector_bands(p, sector, grid, STANDARD)
-    tries = []
-    seeded_levels = radial._seeded_levels
+    tries, landed = [], []
+    seeded_levels, one_level = radial._seeded_levels, radial._one_level
 
     def one_try(*args):
         passes.clear()  # keep the bisections of the last try
+        landed.append([])
         tries.append(seeded_levels(*args))
         return tries[-1]
+
+    def level(*args):
+        landed[-1].append(one_level(*args))
+        return landed[-1][-1]
 
     with monkeypatch.context() as patch:
         passes = _record_bisections(patch)
         patch.setattr(radial, "_seeded_levels", one_try)
+        patch.setattr(radial, "_one_level", level)
         _, values = radial._window_levels(d, e, p.m, 3, _seed_of(p, sector))
     assert [got is None for got in tries] == [True, False]
+    # The first try stops at the node it refuses: no node above it is
+    # bisected.
+    assert landed[0][-1] is None and None not in landed[0][:-1]
     _assert_seeded_path(passes, 3)
     assert np.array_equal(values, _whole_window(d, e, p.m)[:3])
 
@@ -967,6 +983,102 @@ def test_all_levels_request_builds_one_seed_past_the_window(monkeypatch):
         assert got.energy == ref.energy
         assert np.array_equal(got.doublet[0], ref.doublet[0])
         assert np.array_equal(got.doublet[1], ref.doublet[1])
+
+
+# --- The stability check: one count per run of overlapping intervals. ---
+
+def _record_counts(patch):
+    """Make _count_in record the size of the bands and the interval of
+    each call."""
+    calls = []
+    original = radial._count_in
+
+    def recorded(d, e, lo, hi):
+        calls.append((d.size, lo, hi))
+        return original(d, e, lo, hi)
+
+    patch.setattr(radial, "_count_in", recorded)
+    return calls
+
+
+# Tier-1 runs n = 150 and 800; SUSYH_BISECTION_SWEEP=1 adds 2e4, the
+# smallest size of the `spectrum` benchmark.
+STABILITY_POINTS = (150, 800, 20000) if SWEEP else (150, 800)
+
+
+@pytest.mark.parametrize("layout", [STANDARD, SWAPPED])
+@pytest.mark.parametrize("n", STABILITY_POINTS)
+def test_grouped_stability_counts_equal_one_count_per_interval(n, layout):
+    # The lowest 1, 3 and 4 window levels of every sector as one batch of
+    # candidates, with solve_bound_levels' intervals: a count over the
+    # common part of each run decides as one count per interval does.
+    for D, l, sign, z_alpha in _sector_domain():
+        p = PhysParams(D=D, z_alpha=z_alpha)
+        sector = kappa_of(p, l, sign)
+        grid = default_grid(p, sector, n_points=n)
+        _, vals = radial._window_levels(
+            *radial._sector_bands(p, sector, grid, layout), p.m, 4,
+            _seed_of(p, sector))
+        fine = radial._sector_bands(p, sector, grid.refined(), layout)
+        lo, hi = radial._window_bounds(p.m)
+        tol = radial.STABILITY_TOL * p.m
+        for count in (1, 3, 4):
+            ends = [(max(lo, v - tol), min(hi, v + tol)) for v in vals[:count]]
+            assert radial._held(*fine, ends) == [
+                radial._count_in(*fine, a, b) > 0 for a, b in ends]
+
+
+@pytest.mark.parametrize("levels,held", [
+    ((0.34, 0.44), [True, True, True]),
+    ((0.44,), [False, True, True]),
+    ((0.34,), [True, False, False]),
+    ((0.40,), [True, True, True]),
+])
+def test_run_without_a_common_level_is_counted_interval_by_interval(
+        monkeypatch, levels, held):
+    # Diagonal bands, whose eigenvalues are their entries (0.9 lies outside
+    # every interval).  The intervals form one run with the common part
+    # (0.37, 0.43]; only where that holds a level does one count decide
+    # them all, and otherwise each is counted, so a level in some intervals
+    # of the run but not in others is found where it lies.
+    d = np.array([*levels, 0.9])
+    ends = [(0.33, 0.43), (0.35, 0.45), (0.37, 0.47)]
+    with monkeypatch.context() as patch:
+        calls = _record_counts(patch)
+        assert radial._held(d, np.zeros(d.size - 1), ends) == held
+    common = (d.size, 0.37, 0.43)
+    if 0.40 in levels:
+        assert calls == [common]
+    else:
+        assert calls == [common, *((d.size, a, b) for a, b in ends)]
+
+
+def test_disjoint_intervals_are_separate_runs(monkeypatch):
+    # An empty interval (a >= b) holds nothing and ends its run; the
+    # intervals after it start a new one.
+    d = np.array([0.1, 0.5])
+    ends = [(0.05, 0.15), (0.2, 0.2), (0.45, 0.55), (0.48, 0.6)]
+    with monkeypatch.context() as patch:
+        calls = _record_counts(patch)
+        assert radial._held(d, np.zeros(1), ends) == [True, False, True, True]
+    assert [(a, b) for _, a, b in calls] == [
+        (0.05, 0.15), (0.2, 0.2), (0.48, 0.55)]
+
+
+@pytest.mark.parametrize("z_alpha,runs", [(0.2, 1), (0.5, 2)])
+def test_stability_check_counts_once_per_run(monkeypatch, z_alpha, runs):
+    # D = 3, kappa = 1, count 3: at Z alpha = 0.2 the three levels lie within
+    # 0.02 m of each other and their intervals form one run, so the solve
+    # makes one count on the doubled grid's bands (4n rows); at 0.5 the
+    # ground level's interval stands apart from the other two.
+    p = PhysParams(D=3, z_alpha=z_alpha)
+    sector = kappa_of(p, 0, 1)
+    grid = default_grid(p, sector, n_points=200)
+    with monkeypatch.context() as patch:
+        calls = _record_counts(patch)
+        pairs = solve_bound_levels(p, sector, grid, count=3)
+    assert len(pairs) == 3
+    assert sum(size == 4 * grid.n_points for size, _, _ in calls) == runs
 
 
 # --- The band operator type: every operation against its dense form. ---
