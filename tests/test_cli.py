@@ -419,6 +419,21 @@ def test_clifford_output_is_pinned(capsys, out_format, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("out_format,digest", [
+    ("text", "b166dfa175b0800f2150ef7a6b67e3c2414cd92dc5d5aaf465826f438f1319eb"),
+    ("csv", "6605d3bdf35277cc84646aa511aff41de2763fefab155c7f37f890de7f5365bf"),
+    ("json", "f97fca150262155fe5844110418e0d5fe0cb2e18a2ddd73d6e643bca7c601727"),
+])
+def test_levels_output_is_pinned(capsys, out_format, digest):
+    # sha256 of stdout as the per-row SchemeRow dataclass export and the
+    # json.dumps(indent=2) renderer printed it, so a rewrite of the closed
+    # forms or the renderer must keep every byte.
+    rc, out, err = run(capsys, ["levels", "--D", "2:40", "--n-max", "8",
+                                "--format", out_format])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "missing" / "x.csv"
     rc, out, err = run(capsys, ["levels", "--D", "3", "--out", str(path)])
