@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -91,6 +92,11 @@ def ground_energy(params: PhysParams, kappa: float) -> float:
     return form_s
 
 
+def _level_energy(z_alpha: float, n_prime: int, s: float) -> float:
+    """The level formula, with the denominator assembled as n' + s."""
+    return (1.0 + (z_alpha / (n_prime + s)) ** 2) ** -0.5
+
+
 def energy(params: PhysParams, label: LevelLabel) -> float:
     """E/m for a bound-state label, via the closed-form level formula.
 
@@ -98,11 +104,11 @@ def energy(params: PhysParams, label: LevelLabel) -> float:
     exactly, so levels that share (n', s) agree bitwise; this makes the
     kappa-sign degeneracy and the interdimensional (l, D) -> (l+1, D-2)
     degeneracy exact equalities of floats, not approximate ones.
+    enumerate_levels goes further: a degenerate pair there shares one
+    computed float.
     """
     sector = kappa_of(params, label.l, label.sign)
-    za = params.z_alpha
-    denom = label.n_prime + sector.s
-    return (1.0 + (za / denom) ** 2) ** -0.5
+    return _level_energy(params.z_alpha, label.n_prime, sector.s)
 
 
 @dataclass(frozen=True)
@@ -132,22 +138,26 @@ class SpectrumTable:
 
 
 def enumerate_levels(params: PhysParams, n_max: int) -> SpectrumTable:
-    """Enumerate labels with n <= n_max and link degenerate partners."""
+    """Enumerate labels with n <= n_max and link degenerate partners.
+
+    Each degenerate pair shares one computed float: its energy is evaluated
+    once, from the one sector both labels' |kappa| gives.
+    """
     if n_max < 1:
         raise InvalidLabelError(f"n_max must be >= 1, got {n_max}")
     rows = []
     for l in range(n_max):
+        sector = kappa_of(params, l, 1)
+        kappa, s = sector.kappa, sector.s
         for n in range(l + 1, n_max + 1):
             plus = LevelLabel(n=n, l=l, sign=1)
-            sector = kappa_of(params, l, 1)
-            e = energy(params, plus)
+            e = _level_energy(params.z_alpha, n - l - 1, s)
             if n == l + 1:
-                rows.append(SpectrumRow(plus, sector.kappa, sector.s, e, None))
+                rows.append(SpectrumRow(plus, kappa, s, e, None))
                 continue
             minus = LevelLabel(n=n, l=l, sign=-1)
-            rows.append(SpectrumRow(plus, sector.kappa, sector.s, e, minus))
-            rows.append(SpectrumRow(minus, -sector.kappa, sector.s,
-                                    energy(params, minus), plus))
+            rows.append(SpectrumRow(plus, kappa, s, e, minus))
+            rows.append(SpectrumRow(minus, -kappa, s, e, plus))
     return SpectrumTable(params=params, n_max=n_max, rows=tuple(rows))
 
 
@@ -309,8 +319,7 @@ def interdimensional_check(params: PhysParams, l: int, n_prime: int) -> Interdim
                           z_alpha=params.z_alpha, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class SchemeRow:
+class SchemeRow(NamedTuple):
     id: str
     D: int
     tanh_D: float
@@ -330,8 +339,7 @@ class LevelScheme:
     n_max: int
     rows: tuple
 
-    COLUMNS = ("id", "D", "tanh_D", "kappa", "n", "l", "E_over_m",
-               "binding", "partner_id", "is_ladder_bottom")
+    COLUMNS = SchemeRow._fields
 
 
 def _row_id(D: int, kappa: float, n: int) -> str:
@@ -347,17 +355,15 @@ def level_scheme_export(family, n_max: int = 4) -> LevelScheme:
     """
     rows = []
     for params in family:
-        table = enumerate_levels(params, n_max)
-        for row in table.rows:
+        D = params.D
+        tanh_D = math.tanh(D)
+        table = enumerate_levels(params, n_max).rows
+        ids = [_row_id(D, row.kappa, row.label.n) for row in table]
+        for k, row in enumerate(table):
             lab = row.label
-            partner = ""
-            if row.partner is not None:
-                partner = _row_id(params.D, -row.kappa, lab.n)
-            rows.append(SchemeRow(
-                id=_row_id(params.D, row.kappa, lab.n),
-                D=params.D, tanh_D=math.tanh(params.D), kappa=row.kappa,
-                n=lab.n, l=lab.l, E_over_m=row.E_over_m,
-                binding=1.0 - row.E_over_m, partner_id=partner,
-                is_ladder_bottom=row.is_ladder_bottom,
-            ))
+            # A partnered + row is followed by its - partner, and only there.
+            partner = "" if row.partner is None else ids[k + lab.sign]
+            rows.append(SchemeRow(ids[k], D, tanh_D, row.kappa, lab.n, lab.l,
+                                  row.E_over_m, 1.0 - row.E_over_m, partner,
+                                  row.is_ladder_bottom))
     return LevelScheme(n_max=n_max, rows=tuple(rows))

@@ -93,6 +93,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalars(values) -> bool:
+    return not any(isinstance(v, _CONTAINERS) for v in values)
+
+
+def _indented_json(obj, depth: int = 0) -> str:
+    """Exactly json.dumps(obj, indent=2) for obj at nesting depth `depth`,
+    whose dict keys are str.
+
+    json.dumps runs its C encoder only without indent, so each flat
+    container, and each list of non-empty flat dicts (a table's rows), is
+    one C-encoder call whose item separator carries the newline and
+    indentation.  In a rows list that leaves `},<newline><indent>{` at each
+    row boundary, which one str.replace moves to the list's indentation:
+    the encoder escapes every newline inside a string, so that pattern
+    occurs nowhere else.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    is_dict = isinstance(obj, dict)
+    if _scalars(obj.values() if is_dict else obj):
+        text = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if not is_dict and all(isinstance(r, dict) and r and _scalars(r.values())
+                           for r in obj):
+        row = inner + "  "
+        text = json.JSONEncoder(separators=("," + row, ": ")).encode(obj)
+        text = text[2:-2].replace("}," + row + "{",
+                                  inner + "}," + inner + "{" + row)
+        return "[" + inner + "{" + row + text + inner + "}" + outer + "]"
+    if is_dict:
+        parts = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
+                 for k, v in obj.items()]
+    else:
+        parts = [_indented_json(v, depth + 1) for v in obj]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + ("," + inner).join(parts) + outer + closing
+
+
 def _render(ns: argparse.Namespace, columns: tuple, rows: list,
             json_obj: dict) -> str:
     """One deterministic string in the requested format.
@@ -101,7 +144,7 @@ def _render(ns: argparse.Namespace, columns: tuple, rows: list,
     for json output (insertion-ordered keys).
     """
     if ns.out_format == "json":
-        return json.dumps(json_obj, indent=2) + "\n"
+        return _indented_json(json_obj) + "\n"
     cells = [[_fmt(v) for v in row] for row in rows]
     if ns.out_format == "csv":
         buf = io.StringIO()
@@ -109,12 +152,9 @@ def _render(ns: argparse.Namespace, columns: tuple, rows: list,
         writer.writerow(columns)
         writer.writerows(cells)
         return buf.getvalue()
-    widths = [len(c) for c in columns]
-    for row in cells:
-        widths = [max(w, len(v)) for w, v in zip(widths, row)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(columns, *cells)]
+    line = "  ".join(f"{{:{w}}}" for w in widths)
+    lines = [line.format(*row).rstrip() for row in [columns, *cells]]
     return "\n".join(lines) + "\n"
 
 
@@ -256,15 +296,14 @@ def cmd_levels(ns: argparse.Namespace) -> tuple:
         bottoms[r.D, r.l] += r.is_ladder_bottom
     bad = sorted(key for key, count in bottoms.items() if count != 1)
     columns = analytic.LevelScheme.COLUMNS
-    table = [[getattr(r, c) for c in columns] for r in rows]
     json_obj = {
         "command": "levels",
         "z_alpha": ns.zalpha, "n_max": ns.n_max,
-        "rows": [dict(zip(columns, t)) for t in table],
+        "rows": [dict(zip(columns, r)) for r in rows],
         "pass": not bad,
     }
     failed = f"ladders without a unique bottom: {bad}" if bad else ""
-    return columns, table, json_obj, failed
+    return columns, rows, json_obj, failed
 
 
 def cmd_convergence(ns: argparse.Namespace) -> tuple:

@@ -320,9 +320,9 @@ def test_levels_names_ladders_without_a_unique_bottom(capsys, monkeypatch):
         rows = []
         for r in scheme.rows:
             if r.D == 4 and r.l == 0 and not r.is_ladder_bottom:
-                r = replace(r, is_ladder_bottom=True)
+                r = r._replace(is_ladder_bottom=True)
             elif r.D == 3 and r.l == 1:
-                r = replace(r, is_ladder_bottom=False)
+                r = r._replace(is_ladder_bottom=False)
             rows.append(r)
         return replace(scheme, rows=tuple(rows))
 
