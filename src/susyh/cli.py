@@ -96,44 +96,40 @@ def _fmt(value) -> str:
 _CONTAINERS = (dict, list, tuple)
 
 
-def _scalars(values) -> bool:
+def _flat(container) -> bool:
+    values = container.values() if isinstance(container, dict) else container
     return not any(isinstance(v, _CONTAINERS) for v in values)
 
 
 def _indented_json(obj, depth: int = 0) -> str:
-    """Exactly json.dumps(obj, indent=2) for obj at nesting depth `depth`,
-    whose dict keys are str.
+    """json.dumps(obj, indent=2) for obj at `depth`, its dict keys str.
 
-    json.dumps runs its C encoder only without indent, so each flat
-    container, and each list of non-empty flat dicts (a table's rows), is
-    one C-encoder call whose item separator carries the newline and
-    indentation.  In a rows list that leaves `},<newline><indent>{` at each
-    row boundary, which one str.replace moves to the list's indentation:
-    the encoder escapes every newline inside a string, so that pattern
-    occurs nowhere else.
+    The stdlib runs its C encoder only without indent, so a flat container,
+    or a list of non-empty flat dicts (a table's rows), is one encoder call
+    with the newline and indentation in its item separator.  One replace
+    then moves the row boundaries `},<newline><indent>{` to the list's
+    indentation: the encoder escapes every newline inside a string, so the
+    pattern occurs nowhere else.
     """
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     outer = "\n" + "  " * depth
     inner = outer + "  "
-    is_dict = isinstance(obj, dict)
-    if _scalars(obj.values() if is_dict else obj):
+    if _flat(obj):
         text = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_dict and all(isinstance(r, dict) and r and _scalars(r.values())
-                           for r in obj):
+    if isinstance(obj, dict):
+        parts = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    if all(isinstance(r, dict) and r and _flat(r) for r in obj):
         row = inner + "  "
         text = json.JSONEncoder(separators=("," + row, ": ")).encode(obj)
         text = text[2:-2].replace("}," + row + "{",
                                   inner + "}," + inner + "{" + row)
         return "[" + inner + "{" + row + text + inner + "}" + outer + "]"
-    if is_dict:
-        parts = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
-                 for k, v in obj.items()]
-    else:
-        parts = [_indented_json(v, depth + 1) for v in obj]
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + ("," + inner).join(parts) + outer + closing
+    parts = [_indented_json(v, depth + 1) for v in obj]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
 
 def _render(ns: argparse.Namespace, columns: tuple, rows: list,

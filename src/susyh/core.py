@@ -34,19 +34,22 @@ class PhysParams:
         if (not isinstance(self.D, int)
                 or not 2 <= self.D <= sys.float_info.max):
             raise ValueError(f"D must be an integer >= 2 within double "
-                             f"range, got {self.D!r}")
-        for name in ("z_alpha", "m"):
+                             f"range, got {self.D!r} (--D)")
+        for name, flag in (("z_alpha", " (--zalpha)"), ("m", "")):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}{flag}")
         if self.m <= 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if self.z_alpha <= 0:
-            raise ValueError(f"z_alpha must be positive, got {self.z_alpha}")
+            raise ValueError(f"z_alpha must be positive, got {self.z_alpha} "
+                             f"(--zalpha)")
         bound = (self.D - 1) / 2
         if self.z_alpha >= bound:
             raise ValueError(
-                f"stability requires z_alpha < (D-1)/2 = {bound}, got {self.z_alpha}"
+                f"stability requires z_alpha < (D-1)/2 = {bound}, got "
+                f"{self.z_alpha} at D = {self.D}; use a smaller z_alpha "
+                f"(--zalpha) or a larger D (--D)"
             )
 
 

@@ -8,6 +8,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyh import analytic, cli, clifford, radial, susy
 from susyh.analytic import LevelScheme
@@ -434,6 +436,31 @@ def test_levels_output_is_pinned(capsys, out_format, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Strings that look like the row boundaries the JSON renderer rewrites.
+JSON_TEXT = st.sampled_from(["", "\n", "},", "{", "},{", "}, {", "},\n  {",
+                             "a},\n    {b", '"', '\\', "\u00e9", "\u2603"]) \
+    | st.text()
+JSON_SCALARS = (JSON_TEXT | st.integers() | st.none() | st.booleans()
+                | st.sampled_from([10 ** 300, -(2 ** 200), math.nan, math.inf,
+                                   -math.inf, -0.0, 1e16, 1e-07, 5e-324])
+                | st.floats())
+JSON_ROWS = st.lists(st.dictionaries(JSON_TEXT, JSON_SCALARS, max_size=4),
+                     max_size=4)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | JSON_ROWS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_DOCS)
+def test_indented_json_is_the_stdlib_text(doc):
+    # The renderer's C-encoder path against the pure-Python indent encoder.
+    assert cli._indented_json(doc) == json.dumps(doc, indent=2)
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "missing" / "x.csv"
     rc, out, err = run(capsys, ["levels", "--D", "3", "--out", str(path)])
@@ -462,6 +489,11 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["spectrum", "--D", "3", "--levels", "0"], "--levels"),
     (["levels", "--D", "3", "--n-max", "0"], "--n-max"),
     (["spectrum", "--D", "3", "--zalpha", "nan"], "z_alpha must be finite"),
+    # PhysParams errors name the flag to change, and the D that failed.
+    (["levels", "--D", "2:4", "--zalpha", "0.5"],
+     "got 0.5 at D = 2; use a smaller z_alpha (--zalpha) or a larger D (--D)"),
+    (["spectrum", "--D", "3", "--zalpha", "-1"],
+     "z_alpha must be positive, got -1.0 (--zalpha)"),
     (["spectrum", "--D", "2", "--zalpha", "0.49999"], "underflowed"),
     (["kernel", "--D", "3", "--grid-points", "200,200"],
      "increasing n_points"),
