@@ -489,11 +489,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     (["spectrum", "--D", "3", "--levels", "0"], "--levels"),
     (["levels", "--D", "3", "--n-max", "0"], "--n-max"),
     (["spectrum", "--D", "3", "--zalpha", "nan"], "z_alpha must be finite"),
-    # PhysParams errors name the flag to change, and the D that failed.
-    (["levels", "--D", "2:4", "--zalpha", "0.5"],
-     "got 0.5 at D = 2; use a smaller z_alpha (--zalpha) or a larger D (--D)"),
-    (["spectrum", "--D", "3", "--zalpha", "-1"],
-     "z_alpha must be positive, got -1.0 (--zalpha)"),
     (["spectrum", "--D", "2", "--zalpha", "0.49999"], "underflowed"),
     (["kernel", "--D", "3", "--grid-points", "200,200"],
      "increasing n_points"),
@@ -557,6 +552,11 @@ def test_out_file_matches_stdout(capsys, tmp_path):
      "use a smaller z_alpha (--zalpha)"),
     (["kernel", "--D", "2", "--zalpha", "0.4999"],
      "use a smaller z_alpha (--zalpha)"),
+    # PhysParams errors name the flag to change, and the D that failed.
+    (["levels", "--D", "2:4", "--zalpha", "0.5"],
+     "got 0.5 at D = 2; use a smaller z_alpha (--zalpha) or a larger D (--D)"),
+    (["spectrum", "--D", "3", "--zalpha", "-1"],
+     "z_alpha must be positive, got -1.0 (--zalpha)"),
 ])
 def test_usage_errors(capsys, argv, needle):
     rc, out, err = run(capsys, argv)
